@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DomainError
 from .graph import Graph, PathWord, diagram_distinct_sets
-from .ncpart import NoncrossingPartition, enumerate_nc, mobius
+from .ncpart import NoncrossingPartition, enumerate_nc, top_weights
 from .opcalc import (
     CK,
     DiagonalElement,
@@ -157,14 +157,12 @@ def cumulant(
     ds = _check_slots(variables, diagonals)
     n = len(variables)
     graph = _graph_of(variables[0])
-    top = NoncrossingPartition.top(n)
     items = list(zip(ds, variables))
     value = DiagonalElement.zero(graph)
     contributions: dict[NoncrossingPartition, DiagonalElement] = {}
     weights: dict[NoncrossingPartition, int] = {}
-    for p in enumerate_nc(n):
+    for p, weight in zip(enumerate_nc(n), top_weights(n)):
         contrib = partition_moment(p, items)
-        weight = mobius(p, top)
         contributions[p] = contrib
         weights[p] = weight
         value = value + contrib.scale(weight)
@@ -192,9 +190,13 @@ def connectivity_multiplier(
     if not letters:
         raise DomainError("need at least one letter")
     n = len(letters)
-    top = NoncrossingPartition.top(n)
-    connected = [p for p in enumerate_nc(n) if is_partition_connected(p, letters)]
-    return sum(mobius(p, top) for p in connected), connected
+    weight = 0
+    connected = []
+    for p, mu in zip(enumerate_nc(n), top_weights(n)):
+        if is_partition_connected(p, letters):
+            weight += mu
+            connected.append(p)
+    return weight, connected
 
 
 def cumulant_via_multiplier(letters: Sequence[GeneratorLetter]) -> DiagonalElement:

@@ -14,6 +14,8 @@ import pytest
 from graphfp import variable_from_json
 from graphfp.cli import main
 
+from util import catalan
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,3 +153,42 @@ def test_domain_errors_exit_three(capsys):
         assert code == 3
         assert out == ""
         assert err
+
+
+# -- the documented bounds -----------------------------------------------------
+
+
+def _json_of(argv, capsys):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _arcsine_cumulant(n: int) -> int:
+    # k_{2m} = (-1)^(m-1) 2 C_{m-1} for the loop variable; odd orders vanish.
+    if n % 2:
+        return 0
+    m = n // 2
+    return (-1) ** (m - 1) * 2 * catalan(m - 1)
+
+
+def test_cumulant_at_the_order_bound(capsys):
+    doc = _json_of(["cumulant", "--var", _d("a_loop.json"), "-n", "8"], capsys)
+    assert _arcsine_cumulant(8) == -10
+    assert doc == {"n": 8, "value": {"v1": {"im": "0", "re": "-10"}}}
+
+
+def test_rtransform_series_at_the_order_bound(capsys):
+    argv = [
+        "series", "--var", _d("a_loop.json"), "--vertex", "v1", "--order", "8",
+        "--kind", "rtransform",
+    ]
+    doc = _json_of(argv, capsys)
+    want = [_arcsine_cumulant(n) for n in range(1, 9)]
+    assert want == [0, 2, 0, -2, 0, 4, 0, -10]
+    assert doc["coefficients"] == [[str(k), "0"] for k in want]
+
+
+def test_nc_debug_at_the_size_bound(capsys):
+    doc = _json_of(["nc-debug", "-n", "10"], capsys)
+    assert doc == {"count": 16796, "mobius_bottom_top": "-4862", "n": 10}
+    assert -catalan(9) == -4862

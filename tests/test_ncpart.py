@@ -1,17 +1,26 @@
 """Noncrossing partition lattice: enumeration, order, Mobius function.
 
 Ground truth comes from independent oracles: the Catalan recurrence, a naive
-quadruple-scan crossing test, and brute-force set-partition enumeration.
+quadruple-scan crossing test, brute-force set-partition enumeration, and the
+poset recursion for the Mobius function.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfp import DomainError, NoncrossingPartition, enumerate_nc, mobius
-from graphfp.ncpart import leq
+from graphfp.ncpart import leq, top_weights
 
-from util import catalan, catalan_by_recurrence, has_crossing, set_partitions
+from util import (
+    catalan,
+    catalan_by_recurrence,
+    has_crossing,
+    mobius_by_recursion,
+    set_partitions,
+)
 
 
 def test_counts_match_catalan_recurrence():
@@ -110,3 +119,60 @@ def test_mobius_defining_identity_exhaustive():
             for x in below[y]:
                 total = sum(mu_into_y[z] for z in below[y] if leq(x, z))
                 assert total == (1 if x == y else 0), (n, x.blocks, y.blocks)
+
+
+def test_closed_form_matches_the_recursion_on_every_comparable_pair():
+    for n in range(1, 7):
+        parts = enumerate_nc(n)
+        pairs = [(p, q) for p in parts for q in parts if leq(p, q)]
+        for p, q in pairs:
+            assert mobius(p, q) == mobius_by_recursion(p, q), (p.blocks, q.blocks)
+    assert len(pairs) == 1428
+
+
+def test_top_weights_follow_the_enumeration_order():
+    for n in range(1, 9):
+        top = NoncrossingPartition.top(n)
+        assert top_weights(n) == tuple(mobius(p, top) for p in enumerate_nc(n))
+    with pytest.raises(DomainError):
+        top_weights(12)
+
+
+def _restrict(p: NoncrossingPartition, block) -> NoncrossingPartition:
+    """p|_W relabelled to 1..|W|, for a block W that p refines."""
+    rank = {x: i for i, x in enumerate(block, start=1)}
+    inside = [b for b in p.blocks if b[0] in rank]
+    return NoncrossingPartition(len(block), tuple(tuple(rank[x] for x in b) for b in inside))
+
+
+@st.composite
+def comparable_pairs(draw):
+    """(p, q) with p <= q: q from NC(n), then a noncrossing partition of each
+    block of q, relabelled into it."""
+    n = draw(st.integers(2, 10))
+    q = draw(st.sampled_from(enumerate_nc(n)))
+    blocks = []
+    for w in q.blocks:
+        sub = draw(st.sampled_from(enumerate_nc(len(w))))
+        blocks.extend(tuple(w[i - 1] for i in b) for b in sub.blocks)
+    return NoncrossingPartition(n, tuple(blocks)), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10).flatmap(lambda n: st.sampled_from(enumerate_nc(n))))
+def test_weights_to_the_top_sum_to_zero_above_every_partition(p):
+    # sum over sigma in [p, 1_n] of mu(sigma, 1_n) is 0 unless p = 1_n.
+    top = NoncrossingPartition.top(p.n)
+    total = sum(mobius(s, top) for s in enumerate_nc(p.n) if leq(p, s))
+    assert total == (1 if p == top else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(comparable_pairs())
+def test_mobius_factors_over_the_blocks_of_the_upper_partition(pair):
+    p, q = pair
+    assert leq(p, q)
+    product = 1
+    for w in q.blocks:
+        product *= mobius(_restrict(p, w), NoncrossingPartition.top(len(w)))
+    assert mobius(p, q) == product
