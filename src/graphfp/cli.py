@@ -17,12 +17,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .compress import (
-    compress_vertex,
-    compressed_moment_series,
-    compressed_r_transform,
-    diagonal_compress,
-)
+from .compress import compressed_moment_series, compressed_r_transform, diagonal_compress
 from .errors import DomainError, FormatError
 from .fock import verify_relations
 from .freeprob import classify, cumulant, freeness_certificate, mixed_cumulants_vanish, moment
@@ -108,23 +103,10 @@ def _require_order(n: int, limit: int, what: str) -> None:
 # -- rendering --------------------------------------------------------------
 
 
-def _scalar_text(c: ExactComplex) -> str:
-    re, im = format_rational(c.re), format_rational(c.im)
-    if im == "0":
-        return re
-    if re == "0":
-        return f"{im}i"
-    return f"{re}{'+' if not im.startswith('-') else ''}{im}i"
-
-
 def _diag_lines(d: DiagonalElement) -> list[str]:
     if d.is_zero():
         return ["(zero)"]
-    return [f"{v}  {_scalar_text(c)}" for v, c in sorted(d.entries.items())]
-
-
-def _word_literal(word) -> str:
-    return " ".join(word_tokens(word))
+    return [f"{v}  {c}" for v, c in sorted(d.entries.items())]
 
 
 def _coeff_pair(c: ExactComplex) -> list[str]:
@@ -137,7 +119,7 @@ def _coeff_pair(c: ExactComplex) -> list[str]:
 def _cmd_paths(args):
     graph = _load_graph(args.graph)
     words = enumerate_paths(graph, args.max_len)
-    literals = [_word_literal(w) for w in words]
+    literals = [str(w) for w in words]
     return literals, literals
 
 
@@ -152,7 +134,7 @@ def _cmd_reduce(args):
         "alpha": word_tokens(form.alpha),
         "beta": word_tokens(form.beta),
     }
-    return payload, [f"L[{_word_literal(form.alpha)}] L*[{_word_literal(form.beta)}]"]
+    return payload, [f"L[{form.alpha}] L*[{form.beta}]"]
 
 
 def _cmd_lattice(args):
@@ -260,13 +242,10 @@ def _split_vertices(text: str) -> list[str]:
 def _cmd_compress(args):
     var = _load_variable(args.var)
     vs = _split_vertices(args.vertices)
-    if len(vs) == 1:
-        out = compress_vertex(var, vs[0]).variable
-    else:
-        out = diagonal_compress(var, vs)
+    out = diagonal_compress(var, vs)
     payload = variable_to_json(out)
     lines = [
-        f"L[{_word_literal(w)}]{'*' if s else ''}  {_scalar_text(c)}"
+        f"L[{w}]{'*' if s else ''}  {c}"
         for (w, s), c in sorted(
             out.terms.items(), key=lambda kv: (kv[0][0].length, word_tokens(kv[0][0]), kv[0][1])
         )
@@ -286,7 +265,7 @@ def _cmd_series(args):
         "coefficients": [_coeff_pair(c) for c in coeffs],
     }
     width = len(str(args.order))
-    lines = [f"n={i + 1:<{width}}  {_scalar_text(c)}" for i, c in enumerate(coeffs)]
+    lines = [f"n={i + 1:<{width}}  {c}" for i, c in enumerate(coeffs)]
     return payload, lines
 
 

@@ -2,45 +2,30 @@
 
 Compressing at a vertex ``v0`` keeps exactly the terms the projection
 ``L[v0]`` preserves on both sides: the ``v0`` vertex term and the loop terms
-based at ``v0``.  The compressed expectation is the ``v0`` entry of the
-diagonal expectation, so compressed moment and cumulant series are scalar
-sequences.  A diagonal compression sums the vertex compressions over a set
-of distinct vertices.
+based at ``v0``.  The result is a plain ``RandomVariable``, so the moment,
+cumulant and freeness functions of ``freeprob`` apply to it directly; the
+freeness of two compressions at ``v0`` is ``mixed_cumulants_vanish`` of the
+two.  The compressed expectation is the ``v0`` entry of the diagonal
+expectation, so compressed moment and cumulant series are scalar sequences.
+A diagonal compression sums the vertex compressions over a set of distinct
+vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
-from .freeprob import FreenessWitness, cumulant, mixed_cumulants_vanish, moment
+from .freeprob import cumulant, moment
 from .graph import PathWord
-from .opcalc import DiagonalElement, ExactComplex, RandomVariable
+from .opcalc import ExactComplex, RandomVariable
 
 __all__ = [
-    "CompressedVariable",
     "compress_vertex",
-    "compressed_expectation",
     "compressed_moment_series",
     "compressed_r_transform",
     "diagonal_compress",
-    "loop_intersection",
-    "compressed_freeness_check",
 ]
-
-
-@dataclass
-class CompressedVariable:
-    """A variable squeezed between two copies of one vertex projection."""
-
-    base: RandomVariable
-    vertex: str
-    variable: RandomVariable
-
-    def diagonal(self) -> DiagonalElement:
-        """The diagonal component q * L[vertex] of the compression."""
-        return self.variable.diagonal()
 
 
 def _kept(word: PathWord, v0: str) -> bool:
@@ -49,18 +34,12 @@ def _kept(word: PathWord, v0: str) -> bool:
     return word.is_loop and word.source == v0
 
 
-def compress_vertex(a: RandomVariable, v0: str) -> CompressedVariable:
+def compress_vertex(a: RandomVariable, v0: str) -> RandomVariable:
     """L[v0] a L[v0]: keep the v0 term and the loops based at v0."""
     a.graph.require_vertex(v0)
-    kept = RandomVariable(
+    return RandomVariable(
         a.graph, {k: c for k, c in a.terms.items() if _kept(k[0], v0)}
     )
-    return CompressedVariable(a, v0, kept)
-
-
-def compressed_expectation(x: CompressedVariable) -> ExactComplex:
-    """The scalar value of the diagonal expectation at the base vertex."""
-    return x.variable.diagonal().get(x.vertex)
 
 
 def compressed_moment_series(
@@ -69,7 +48,7 @@ def compressed_moment_series(
     """Scalar moments of the compression at v0, orders 1..order."""
     if order < 1:
         raise DomainError("series order must be >= 1")
-    x = compress_vertex(a, v0).variable
+    x = compress_vertex(a, v0)
     return [moment([x] * n).get(v0) for n in range(1, order + 1)]
 
 
@@ -79,7 +58,7 @@ def compressed_r_transform(
     """Scalar cumulants of the compression at v0, orders 1..order."""
     if order < 1:
         raise DomainError("series order must be >= 1")
-    x = compress_vertex(a, v0).variable
+    x = compress_vertex(a, v0)
     return [cumulant([x] * n).value.get(v0) for n in range(1, order + 1)]
 
 
@@ -91,26 +70,5 @@ def diagonal_compress(a: RandomVariable, vertices: Sequence[str]) -> RandomVaria
         raise DomainError("need at least one compression vertex")
     out = RandomVariable.zero(a.graph)
     for v in vertices:
-        out = out + compress_vertex(a, v).variable
+        out = out + compress_vertex(a, v)
     return out
-
-
-def loop_intersection(a: RandomVariable, vi: str, vj: str) -> set[PathWord]:
-    """Support loops based at both vertices; empty whenever vi != vj since a
-    loop has a single base vertex."""
-    if vi == vj:
-        raise DomainError("loop_intersection needs two distinct vertices")
-    return a.loops_at(vi) & a.loops_at(vj)
-
-
-def compressed_freeness_check(
-    a: RandomVariable, b: RandomVariable, v0: str, max_order: int = 4
-) -> tuple[bool, FreenessWitness | None]:
-    """Mixed-cumulant freeness check applied to the two compressions."""
-    xa = compress_vertex(a, v0).variable
-    xb = compress_vertex(b, v0).variable
-    if xa == xb and not xa.path_support():
-        # Identical diagonal compressions sit inside the amalgamation
-        # algebra; nothing to test.
-        return True, None
-    return mixed_cumulants_vanish(xa, xb, max_order)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import DomainError
-from .graph import Graph, PathWord, concat, enumerate_paths, vertex_word, word_tokens
+from .graph import Graph, PathWord, concat, enumerate_paths, vertex_word
 from .opcalc import (
     TOEPLITZ,
     GeneratorLetter,

@@ -2,11 +2,13 @@
 
 Moments are diagonal expectations of interleaved products
 ``E(d1 a1 d2 a2 ... dn an)``.  Partition moments evaluate a noncrossing
-partition by repeatedly eliminating an interval block: its bracket is
-evaluated under E and the resulting diagonal value is spliced in as a left
-multiplier of the next surviving position; values of blocks with nothing to
-their right multiply into the final answer.  Cumulants invert moments
-through the Mobius function of the noncrossing partition lattice.
+partition by eliminating its blocks in decreasing order of their minima,
+each then an interval of the surviving positions: its bracket is evaluated
+under E and the resulting diagonal value is spliced in as a left multiplier
+of the next surviving position; values of blocks with nothing to their right
+multiply into the final answer.  The order is immaterial because E is a
+bimodule map over the diagonal, E(d X d') = d E(X) d'.  Cumulants invert
+moments through the Mobius function of the noncrossing partition lattice.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import DomainError
-from .graph import Graph, PathWord, diagram_distinct_sets
+from .graph import Graph, diagram_distinct_sets
 from .ncpart import NoncrossingPartition, enumerate_nc, top_weights
 from .opcalc import (
     CK,
@@ -26,7 +28,6 @@ from .opcalc import (
     GeneratorLetter,
     Monomial,
     RandomVariable,
-    Zero,
     expectation,
     multiply,
     reduce_monomial,
@@ -65,9 +66,7 @@ def _check_slots(
 
 
 def _graph_of(x: Element) -> Graph:
-    g = x.graph if not isinstance(x, (GeneratorLetter, Monomial)) else (
-        x.word.graph if isinstance(x, GeneratorLetter) else x.graph
-    )
+    g = x.word.graph if isinstance(x, GeneratorLetter) else x.graph
     if g is None:
         raise DomainError("cannot infer the graph of a unit monomial")
     return g
@@ -105,36 +104,29 @@ def partition_moment(
     if partition.n != n:
         raise DomainError(f"partition of {partition.n} against {n} slots")
     graph = _graph_of(items[0][1])
-    pending: dict[int, DiagonalElement | None] = {
-        i + 1: d for i, (d, _a) in enumerate(items)
-    }
-    elems: dict[int, Element] = {i + 1: a for i, (_d, a) in enumerate(items)}
-    remaining = list(range(1, n + 1))
-    blocks = list(partition.blocks)
+    pending = [d for d, _a in items]
+    # after[i]: the first live position to the right of position i (n: none).
+    after = list(range(1, n + 1))
     closed: DiagonalElement | None = None
-    while blocks:
-        block = None
-        for b in blocks:
-            inside = [x for x in remaining if b[0] <= x <= b[-1]]
-            if inside == list(b):
-                block = b
-                break
-        assert block is not None  # noncrossing partitions always have one
-        blocks.remove(block)
+    # Blocks are ordered by their minima, so when a block comes up every
+    # block that starts later is gone and it is an interval of the live
+    # positions; every position before it is still live.
+    for block in reversed(partition.blocks):
+        first, last = block[0] - 1, block[-1] - 1
         value = expectation(
-            _chain([elems[j] for j in block], [pending[j] for j in block])
+            _chain([items[j - 1][1] for j in block], [pending[j - 1] for j in block])
         )
         if value.is_zero():
             # A zero block value annihilates its enclosing bracket.
             return DiagonalElement.zero(graph)
-        remaining = [x for x in remaining if x not in block]
-        later = [x for x in remaining if x > block[-1]]
-        if later:
-            nxt = later[0]
+        nxt = after[last]
+        if nxt < n:
             cur = pending[nxt]
             pending[nxt] = value if cur is None else value * cur
         else:
             closed = value if closed is None else closed * value
+        if first:
+            after[first - 1] = nxt
     assert closed is not None
     return DiagonalElement(graph, dict(closed.entries))
 

@@ -21,8 +21,8 @@ moment and cumulant machinery downstream evaluates it in ``"ck"`` mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass
+from typing import Iterable, Union
 
 from .errors import DomainError, FormatError
 from .graph import (
@@ -112,8 +112,8 @@ class Monomial:
     coefficient: ExactComplex = ONE
 
     def __post_init__(self):
-        graphs = {id(l.word.graph) for l in self.letters}
-        if len(graphs) > 1 and len({l.word.graph for l in self.letters}) > 1:
+        g = self.graph
+        if any(l.word.graph is not g and l.word.graph != g for l in self.letters):
             raise DomainError("all letters of a monomial must share one graph")
 
     @property

@@ -7,26 +7,32 @@ genuine cross-validation, not a tautology.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from graphfp import (
-    DomainError,
-    Monomial,
-    creation,
-    cross_check_reduction,
-    parse_letters,
-    path_word,
-    represent,
-    truncated_basis,
-    verify_relations,
-    vertex_word,
-)
+import graphfp
+from graphfp import DomainError, Monomial, creation, parse_letters, path_word, vertex_word
+from graphfp.fock import cross_check_reduction, represent, truncated_basis, verify_relations
 
 
 def _letters(g, names):
     return parse_letters(g, " ".join(names))
+
+
+def test_importing_the_package_leaves_the_oracle_unloaded():
+    # numpy and scipy serve the oracle only; it is imported from graphfp.fock.
+    src = str(Path(graphfp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, graphfp; print([m for m in ('numpy', 'scipy') if m in sys.modules])"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def test_relations_pass_on_the_two_cycle(h):

@@ -12,9 +12,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfp import (
-    CK,
     DiagonalElement,
     DomainError,
     Monomial,
@@ -27,21 +28,26 @@ from graphfp import (
     cumulant,
     cumulant_via_multiplier,
     enumerate_nc,
+    enumerate_paths,
     expectation,
     freeness_certificate,
     is_partition_connected,
+    load_graph,
     mixed_cumulants_vanish,
     moment,
     multiply,
-    parse_letters,
     partition_moment,
     path_word,
-    reduce_monomial,
     star_axis_property,
     trivial_cumulant,
 )
 
-from util import nested_cumulant, random_variable, scalar_cumulants_from_moments
+from util import (
+    nested_cumulant,
+    partition_moment_by_interval_search,
+    random_variable,
+    scalar_cumulants_from_moments,
+)
 
 
 def _c(g, *edges):
@@ -124,6 +130,61 @@ def test_partition_moment_checks_the_size(h):
     p = NoncrossingPartition.top(3)
     with pytest.raises(DomainError):
         partition_moment(p, [(None, _var(_c(h, "e1")))])
+
+
+@st.composite
+def branching_graphs(draw):
+    """Small random multigraphs.  Vertex v0 always carries a self-loop and a
+    second out-edge, so it branches; up to two more edges land anywhere."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = [("v0", "v0"), ("v0", draw(st.sampled_from(vertices)))]
+    for _ in range(draw(st.integers(0, 2))):
+        ends.append((draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))))
+    edges = [{"id": f"e{k}", "src": s, "dst": t} for k, (s, t) in enumerate(ends)]
+    return load_graph({"vertices": vertices, "edges": edges})
+
+
+def _random_diagonal(g, rng) -> DiagonalElement:
+    return _diag(
+        g, {v: Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)) for v in g.vertices}
+    )
+
+
+def _random_slot_variable(g, rng) -> RandomVariable:
+    # Vertex terms and loops, made self-adjoint half the time, keep many
+    # partition moments nonzero; the other half draws from every path.
+    if rng.random() < 0.5:
+        return random_variable(g, rng, max_len=2, max_terms=3)
+    based = [w for w in enumerate_paths(g, 2) if w.is_vertex or w.is_loop]
+    a = random_variable(g, rng, max_terms=3, words=based)
+    return a + a.adjoint() if rng.random() < 0.5 else a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    branching_graphs(),
+    st.integers(1, 5).flatmap(lambda n: st.sampled_from(enumerate_nc(n))),
+    st.randoms(use_true_random=False),
+)
+def test_one_pass_partition_moment_matches_the_interval_search(g, p, rng):
+    items = [
+        (_random_diagonal(g, rng) if rng.random() < 0.5 else None,
+         _random_slot_variable(g, rng))
+        for _ in range(p.n)
+    ]
+    assert partition_moment(p, items) == partition_moment_by_interval_search(p, items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(branching_graphs(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_expectation_is_a_diagonal_bimodule_map(g, k, rng):
+    # E(d X d') = d E(X) d' for X a product of k random variables: the law
+    # that lets partition_moment eliminate blocks in any interval order.
+    x = random_variable(g, rng, max_len=2, max_terms=3)
+    for _ in range(k - 1):
+        x = multiply(x, random_variable(g, rng, max_len=2, max_terms=3))
+    d, dp = _random_diagonal(g, rng), _random_diagonal(g, rng)
+    assert expectation(multiply(multiply(d, x), dp)) == d * expectation(x) * dp
 
 
 # -- cumulants by Mobius inversion ---------------------------------------------

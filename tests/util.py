@@ -22,6 +22,7 @@ from graphfp import (
     cumulant,
     enumerate_nc,
     enumerate_paths,
+    moment,
 )
 
 # Verdict lines collected by the acceptance suite; the conftest terminal
@@ -130,16 +131,16 @@ def scalar_cumulants_from_moments(moments: Sequence[Fraction]) -> list[Fraction]
     return ks
 
 
-def nested_cumulant(
-    partition: NoncrossingPartition, variables: Sequence[RandomVariable]
+def _eliminate_interval_blocks(
+    partition: NoncrossingPartition, variables: Sequence, diagonals: Sequence, value_of
 ) -> DiagonalElement:
-    """k_pi with splice semantics: eliminate interval blocks innermost-first,
-    valuing each bracket with the engine cumulant and feeding the diagonal
-    result into the next surviving slot."""
+    """Eliminate at each step the first block (in block order) that is an
+    interval of the surviving positions.  ``value_of(variables, diagonals)``
+    values its bracket, and the result is spliced in as a left multiplier
+    of the next surviving position."""
     n = len(variables)
     assert partition.n == n
-    graph = variables[0].graph
-    pending: dict[int, DiagonalElement | None] = {i: None for i in range(1, n + 1)}
+    pending = {i + 1: d for i, d in enumerate(diagonals)}
     remaining = list(range(1, n + 1))
     blocks = list(partition.blocks)
     closed: DiagonalElement | None = None
@@ -150,9 +151,7 @@ def nested_cumulant(
             if [x for x in remaining if b[0] <= x <= b[-1]] == list(b)
         )
         blocks.remove(block)
-        value = cumulant(
-            [variables[j - 1] for j in block], [pending[j] for j in block]
-        ).value
+        value = value_of([variables[j - 1] for j in block], [pending[j] for j in block])
         remaining = [x for x in remaining if x not in block]
         later = [x for x in remaining if x > block[-1]]
         if later:
@@ -162,6 +161,27 @@ def nested_cumulant(
             closed = value if closed is None else closed * value
     assert closed is not None
     return closed
+
+
+def nested_cumulant(
+    partition: NoncrossingPartition, variables: Sequence[RandomVariable]
+) -> DiagonalElement:
+    """k_pi with splice semantics: eliminate interval blocks innermost-first,
+    valuing each bracket with the engine cumulant."""
+    return _eliminate_interval_blocks(
+        partition, variables, [None] * len(variables), lambda vs, ds: cumulant(vs, ds).value
+    )
+
+
+def partition_moment_by_interval_search(
+    partition: NoncrossingPartition, items: Sequence[tuple]
+) -> DiagonalElement:
+    """E along a noncrossing partition by the interval search, each bracket
+    a plain ``moment``.  The oracle for ``partition_moment``, which visits
+    the blocks in another order and splices values into other slots."""
+    return _eliminate_interval_blocks(
+        partition, [a for _d, a in items], [d for d, _a in items], moment
+    )
 
 
 def random_variable(
