@@ -2,9 +2,9 @@
 
 Subcommands mirror the library: path enumeration, word reduction, lattice
 paths, expectation, moments, cumulants, freeness checks, classification,
-compressions, scalar series, the numerical oracle and a noncrossing-partition
-debug view.  Output is canonical JSON (sorted keys, compact separators,
-rational-string scalars) or an aligned table.
+compressions, scalar series, the exact path-space oracle and a
+noncrossing-partition debug view.  Output is canonical JSON (sorted keys,
+compact separators, rational-string scalars) or an aligned table.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 domain error.
 """
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .compress import compressed_moment_series, compressed_r_transform, diagonal_compress
 from .errors import DomainError, FormatError
-from .fock import verify_relations
+from .fock import basis_size, verify_relations
 from .freeprob import classify, cumulant, freeness_certificate, mixed_cumulants_vanish, moment
 from .graph import Graph, enumerate_paths, load_graph, word_tokens
 from .ncpart import NoncrossingPartition, enumerate_nc, mobius
@@ -41,9 +41,11 @@ from .opcalc import (
 )
 from .scalars import ExactComplex, format_rational
 
-# Desk-scale bounds: cumulant-type evaluations sum over NC(n).
+# Desk-scale bounds: cumulant-type evaluations sum over NC(n), and the
+# oracle's basis holds every word of length <= --trunc.
 ORDER_LIMIT = 8
 NC_LIMIT = 10
+BASIS_LIMIT = 4096
 
 
 class _UsageError(Exception):
@@ -271,6 +273,12 @@ def _cmd_series(args):
 
 def _cmd_oracle(args):
     graph = _load_graph(args.graph)
+    size = basis_size(graph, args.trunc, BASIS_LIMIT)
+    if size > BASIS_LIMIT:
+        raise DomainError(
+            f"--trunc {args.trunc} needs at least {size} basis words, "
+            f"above the supported bound {BASIS_LIMIT}"
+        )
     reports = verify_relations(graph, args.trunc)
     lines = [
         f"{r['status']:<12}  {r['max_error']:.3e}  {r['relation']}"

@@ -1,12 +1,14 @@
-"""Truncated matrix representation on path space: the numerical oracle.
+"""Truncated representation on path space by exact partial maps: the oracle.
 
 Basis vectors are the words of length at most L, ordered exactly as
-``enumerate_paths``.  A creation ``L[w]`` maps the basis vector at ``h`` to
-the one at ``w . h`` when the junction matches; targets that fall outside
-the truncation are flagged per column instead of silently dropped.  An
-annihilation strips ``w`` from the front.  Comparisons are made only on
-interior sub-bases, i.e. columns whose vectors cannot escape the truncation
-during the product being checked.
+``enumerate_paths``.  Every represented letter is a 0/1 matrix with at most
+one 1 per column, stored as a partial map from column to row.  A creation
+``L[w]`` sends the basis vector at ``h`` to the one at ``w . h`` when the
+junction matches; columns whose image falls outside the truncation are
+flagged as boundary columns instead of silently dropped.  An annihilation
+strips ``w`` from the front.  Comparisons are made only on interior columns,
+whose vectors never escape the truncation during the product being checked,
+and the error there is an integer.
 
 This representation validates the Toeplitz relations.  The weak-closure
 rewrite ``L[w] L*[w] -> L[source(w)]`` is *not* an operator identity here,
@@ -16,10 +18,8 @@ and ``verify_relations`` reports the standard counterexample
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy import sparse
 
 from .errors import DomainError
 from .graph import Graph, PathWord, concat, enumerate_paths, vertex_word
@@ -35,17 +35,15 @@ from .opcalc import (
 )
 
 __all__ = [
-    "TOLERANCE",
     "TruncatedBasis",
     "truncated_basis",
-    "OperatorMatrix",
+    "basis_size",
+    "PartialMap",
     "represent",
     "represent_form",
     "verify_relations",
     "cross_check_reduction",
 ]
-
-TOLERANCE = 1e-12
 
 
 @dataclass
@@ -56,118 +54,113 @@ class TruncatedBasis:
     max_len: int
     words: list[PathWord]
     index: dict[PathWord, int] = field(repr=False)
+    starting: dict[str, list[int]] = field(repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-    def interior_indices(self, margin: int) -> list[int]:
-        """Columns whose words keep length <= max_len under `margin` extra
-        edges of creation."""
-        return [i for i, w in enumerate(self.words) if w.length + margin <= self.max_len]
 
 
 def truncated_basis(graph: Graph, max_len: int) -> TruncatedBasis:
     if max_len < 1:
         raise DomainError("truncation length must be >= 1")
     words = enumerate_paths(graph, max_len)
-    return TruncatedBasis(graph, max_len, words, {w: i for i, w in enumerate(words)})
+    starting: dict[str, list[int]] = {v: [] for v in graph.vertices}
+    for i, w in enumerate(words):
+        starting[w.source].append(i)
+    return TruncatedBasis(graph, max_len, words, {w: i for i, w in enumerate(words)}, starting)
 
 
-@dataclass
-class OperatorMatrix:
-    """A sparse matrix on the truncated basis plus the columns whose true
-    image was cut off by the truncation."""
-
-    matrix: sparse.csr_matrix
-    boundary_columns: frozenset[int]
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        # Columns feeding a boundary column of the left factor are also
-        # unreliable; tracking the union is a safe overestimate.
-        return OperatorMatrix(
-            self.matrix @ other.matrix,
-            self.boundary_columns | other.boundary_columns,
-        )
+def basis_size(graph: Graph, max_len: int, cap: int) -> int:
+    """Number of words of length <= max_len, counted without enumerating
+    them: the words of length k starting at v number one for k = 0 and the
+    sum over the out-edges v -> u of the count of length k - 1 at u.  The
+    count stops once it exceeds `cap`, so a larger result is a lower bound."""
+    starting = {v: 1 for v in graph.vertices}
+    total = len(starting)
+    for _ in range(max_len):
+        if total > cap or not any(starting.values()):
+            break
+        starting = {v: sum(starting[e.dst] for e in graph.out_edges(v)) for v in graph.vertices}
+        total += sum(starting.values())
+    return total
 
 
-def represent(letter: GeneratorLetter, basis: TruncatedBasis) -> OperatorMatrix:
-    """Sparse matrix of one generator letter on the truncated basis."""
+@dataclass(frozen=True)
+class PartialMap:
+    """A 0/1 matrix on the truncated basis with at most one 1 per column:
+    ``image[j] = i`` sends basis vector j to basis vector i, and a column
+    missing from ``image`` is sent to 0.  ``boundary`` holds the columns
+    whose true image left the truncation, where the map is unreliable.
+    ``a @ b`` is the matrix product: ``b`` acts first."""
+
+    image: dict[int, int]
+    boundary: frozenset[int] = frozenset()
+
+    def __matmul__(self, other: "PartialMap") -> "PartialMap":
+        image = {j: self.image[k] for j, k in other.image.items() if k in self.image}
+        escaped = {j for j, k in other.image.items() if k in self.boundary}
+        return PartialMap(image, other.boundary | escaped)
+
+
+def represent(letter: GeneratorLetter, basis: TruncatedBasis) -> PartialMap:
+    """Partial map of one generator letter on the truncated basis."""
     cached = basis._cache.get(letter)
     if cached is not None:
         return cached
     w = letter.word
     if w.graph != basis.graph:
         raise DomainError("letter and basis use different graphs")
-    if w.length > basis.max_len:
-        raise DomainError("letter word is longer than the truncation")
-    n = basis.size
-    rows, cols = [], []
+    image: dict[int, int] = {}
     boundary = set()
-    if w.is_vertex:
-        for j, h in enumerate(basis.words):
-            if h.source == w.vertex:
-                rows.append(j)
-                cols.append(j)
-    elif not letter.star:
-        for j, h in enumerate(basis.words):
-            if h.source != w.target:
-                continue
-            grown = concat(w, h)
-            assert grown is not None
-            if grown.length <= basis.max_len:
-                rows.append(basis.index[grown])
-                cols.append(j)
+    # A creation acts on the words starting at its target, an annihilation
+    # on those starting at its source; the vertex cases coincide.
+    for j in basis.starting[w.source if letter.star else w.target]:
+        h = basis.words[j]
+        if w.is_vertex:
+            image[j] = j
+        elif not letter.star:
+            if h.length + w.length <= basis.max_len:
+                image[j] = basis.index[concat(w, h)]
             else:
                 boundary.add(j)
-    else:
-        for j, h in enumerate(basis.words):
-            if h.is_vertex or h.length < w.length:
-                continue
-            if h.edges[: w.length] == w.edges:
-                rest = h.edges[w.length:]
-                tail = (
-                    basis.graph.edge(rest[0]).src if rest else h.target
-                )
-                stripped = (
-                    vertex_word(basis.graph, tail)
-                    if not rest
-                    else PathWord(basis.graph, None, rest)
-                )
-                rows.append(basis.index[stripped])
-                cols.append(j)
-    data = np.ones(len(rows), dtype=np.complex128)
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    out = OperatorMatrix(mat, frozenset(boundary))
+        elif h.edges[: w.length] == w.edges:
+            rest = h.edges[w.length:]
+            g = basis.graph
+            image[j] = basis.index[PathWord(g, None, rest) if rest else vertex_word(g, h.target)]
+    out = PartialMap(image, frozenset(boundary))
     basis._cache[letter] = out
     return out
 
 
-def represent_form(form: Pair | Zero, basis: TruncatedBasis) -> OperatorMatrix:
-    """Matrix of a two-sided normal form (zero gives the zero matrix)."""
+def represent_form(form: Pair | Zero, basis: TruncatedBasis) -> PartialMap:
+    """Partial map of a two-sided normal form (zero gives the empty map)."""
     if isinstance(form, Zero):
-        n = basis.size
-        return OperatorMatrix(sparse.csr_matrix((n, n), dtype=np.complex128), frozenset())
+        return PartialMap({})
     out = represent(creation(form.alpha), basis)
     if not form.beta.is_vertex:
         out = out @ represent(annihilation(form.beta), basis)
     return out
 
 
-def _max_abs_on(matrix: sparse.csr_matrix, columns: list[int]) -> float:
-    if not columns:
-        return 0.0
-    sub = matrix[:, columns]
-    return 0.0 if sub.nnz == 0 else float(np.max(np.abs(sub.data)))
+def _error(*terms: tuple[int, dict[int, int]], skip: frozenset[int] = frozenset()) -> int:
+    """Largest |entry| of the signed sum of 0/1 matrices, each given as a
+    column -> row map, over the columns not in `skip`."""
+    table: dict[int, Counter] = {}
+    for sign, image in terms:
+        for col, row in image.items():
+            table.setdefault(col, Counter())[row] += sign
+    return max(
+        (abs(n) for col, rows in table.items() if col not in skip for n in rows.values()),
+        default=0,
+    )
 
 
-def _entry(matrix: sparse.csr_matrix, i: int, j: int) -> complex:
-    return complex(matrix[i, j])
+def _transpose(image: dict[int, int]) -> dict[int, int]:
+    # Every represented letter is injective on the basis, so the adjoint of
+    # a partial map is again one.
+    return {row: col for col, row in image.items()}
 
 
 def verify_relations(graph: Graph, max_len: int, word_len: int = 3) -> list[dict]:
-    """Check the representation relations on interior sub-bases.
+    """Check the representation relations on interior columns.
 
     Returns one report per relation instance with keys ``relation``,
     ``word``, ``status`` and ``max_error``.  Includes the expected failure of
@@ -176,29 +169,28 @@ def verify_relations(graph: Graph, max_len: int, word_len: int = 3) -> list[dict
     basis = truncated_basis(graph, max_len)
     reports: list[dict] = []
 
-    def check(relation: str, word: str, err: float) -> None:
+    def check(relation: str, word: str, err: int) -> None:
         reports.append(
             {
                 "relation": relation,
                 "word": word,
-                "status": "pass" if err <= TOLERANCE else "fail",
-                "max_error": err,
+                "status": "pass" if err == 0 else "fail",
+                "max_error": float(err),
             }
         )
 
-    eye = sparse.identity(basis.size, dtype=np.complex128, format="csr")
+    def proj(v: str) -> PartialMap:
+        return represent(creation(vertex_word(graph, v)), basis)
 
-    resolution = sum(
-        (represent(creation(vertex_word(graph, v)), basis).matrix for v in graph.vertices),
-        start=sparse.csr_matrix((basis.size, basis.size), dtype=np.complex128),
-    )
-    check("vertex projections resolve the identity", "", _max_abs_on(resolution - eye, list(range(basis.size))))
+    eye = {j: j for j in range(len(basis.words))}
+    resolution = [(1, proj(v).image) for v in graph.vertices]
+    check("vertex projections resolve the identity", "", _error(*resolution, (-1, eye)))
 
     for v in sorted(graph.vertices):
-        p = represent(creation(vertex_word(graph, v)), basis).matrix
+        p = proj(v)
         err = max(
-            _max_abs_on(p @ p - p, list(range(basis.size))),
-            _max_abs_on(p - p.conjugate().transpose().tocsr(), list(range(basis.size))),
+            _error((1, (p @ p).image), (-1, p.image)),
+            _error((1, p.image), (-1, _transpose(p.image))),
         )
         check("vertex projection is a self-adjoint idempotent", v, err)
 
@@ -208,47 +200,48 @@ def verify_relations(graph: Graph, max_len: int, word_len: int = 3) -> list[dict
         if not w.is_vertex
     ]
     for w in paths:
-        interior = basis.interior_indices(w.length)
         cre = represent(creation(w), basis)
         ann = represent(annihilation(w), basis)
-        target = represent(creation(vertex_word(graph, w.target)), basis)
+        target = proj(w.target)
+        back = ann @ cre
         check(
             "annihilation after creation is the target projection",
             str(w),
-            _max_abs_on(ann.matrix @ cre.matrix - target.matrix, interior),
+            _error((1, back.image), (-1, target.image), skip=back.boundary),
         )
+        twice = cre @ back
         check(
             "creation is a partial isometry",
             str(w),
-            _max_abs_on(cre.matrix @ ann.matrix @ cre.matrix - cre.matrix, interior),
+            _error((1, twice.image), (-1, cre.image), skip=twice.boundary | cre.boundary),
         )
-        adj = cre.matrix.conjugate().transpose().tocsr()
+        # Annihilation never lengthens a word, so its truncation is exact on
+        # every column and must be the transpose of the truncated creation.
         check(
             "annihilation is the adjoint of creation",
             str(w),
-            _max_abs_on(ann.matrix - adj, interior),
+            _error((1, ann.image), (-1, _transpose(cre.image))),
         )
 
     # Documented gap: the weak-closure rewrite is not representation-true.
     first_edge = next((w for w in paths if w.length == 1), None)
     if first_edge is not None:
         src = first_edge.source
-        cre = represent(creation(first_edge), basis)
-        ann = represent(annihilation(first_edge), basis)
-        proj = represent(creation(vertex_word(graph, src)), basis)
         j = basis.index[vertex_word(graph, src)]
-        got = _entry(cre.matrix @ ann.matrix, j, j).real
-        expected = _entry(proj.matrix, j, j).real
+        cre = represent(creation(first_edge), basis)
+        collapsed = cre @ represent(annihilation(first_edge), basis)
+        got = int(collapsed.image.get(j) == j)
+        expected = int(proj(src).image.get(j) == j)
         reports.append(
             {
                 "relation": "weak-closure rewrite creation*annihilation -> source projection",
                 "word": str(first_edge),
                 "status": "expected-gap",
-                "max_error": abs(got - expected),
+                "max_error": float(abs(got - expected)),
                 "counterexample": {
                     "vector": src,
-                    "representation_value": got,
-                    "rewritten_value": expected,
+                    "representation_value": float(got),
+                    "rewritten_value": float(expected),
                 },
             }
         )
@@ -258,24 +251,21 @@ def verify_relations(graph: Graph, max_len: int, word_len: int = 3) -> list[dict
 def cross_check_reduction(
     m: Monomial, graph: Graph, max_len: int, basis: TruncatedBasis | None = None
 ) -> bool:
-    """Compare the letter-product matrix against the represented Toeplitz
-    normal form on the interior sub-basis."""
-    margin = m.creation_weight()
-    if margin > max_len:
+    """Compare the letter-product map against the represented Toeplitz
+    normal form on the interior columns of both."""
+    if m.creation_weight() > max_len:
         raise DomainError("monomial creates more length than the truncation")
     if basis is None:
         basis = truncated_basis(graph, max_len)
     elif basis.graph != graph or basis.max_len != max_len:
         raise DomainError("basis does not match the requested truncation")
-    product = OperatorMatrix(
-        sparse.identity(basis.size, dtype=np.complex128, format="csr"), frozenset()
-    )
+    # The coefficient scales both sides alike, so only a zero one matters:
+    # it makes both sides zero, and the reduction returns Zero for it.
+    if m.coefficient.is_zero():
+        return True
+    product = PartialMap({j: j for j in range(len(basis.words))})
     for letter in m.letters:
         product = product @ represent(letter, basis)
-    form = reduce_monomial(m, TOEPLITZ)
-    lhs = product.matrix * complex(m.coefficient)
-    rhs = represent_form(form, basis).matrix
-    if not isinstance(form, Zero):
-        rhs = rhs * complex(m.coefficient)
-    interior = basis.interior_indices(margin)
-    return _max_abs_on(lhs - rhs, interior) <= TOLERANCE
+    form = represent_form(reduce_monomial(m, TOEPLITZ), basis)
+    skip = product.boundary | form.boundary
+    return _error((1, product.image), (-1, form.image), skip=skip) == 0

@@ -148,11 +148,23 @@ def test_domain_errors_exit_three(capsys):
         ["moment", "--var", _d("a_loop.json"), "-n", "0"],
         ["cumulant", "--var", _d("a_loop.json"), "-n", "9"],
         ["nc-debug", "-n", "11"],
+        ["oracle", "--graph", _d("h.json"), "--trunc", "0"],
     ):
         code, out, err = _run(argv, capsys)
         assert code == 3
         assert out == ""
         assert err
+
+
+def test_oracle_refuses_a_basis_above_the_bound(capsys):
+    # Two loops at one vertex give 2^(k+1) - 1 words of length <= k: 4095 at
+    # k = 11 is within the bound of 4096, and k = 12 is the first above it.
+    # The count stops there, so even a huge --trunc is refused at once.
+    for trunc in ("12", "1000000000"):
+        code, out, err = _run(["oracle", "--graph", _d("loops2.json"), "--trunc", trunc], capsys)
+        assert code == 3
+        assert out == ""
+        assert "at least 8191 basis words" in err
 
 
 # -- the documented bounds -----------------------------------------------------

@@ -32,7 +32,6 @@ from graphfp import (
     expectation,
     freeness_certificate,
     is_partition_connected,
-    load_graph,
     mixed_cumulants_vanish,
     moment,
     multiply,
@@ -43,6 +42,7 @@ from graphfp import (
 )
 
 from util import (
+    branching_graphs,
     nested_cumulant,
     partition_moment_by_interval_search,
     random_variable,
@@ -130,18 +130,6 @@ def test_partition_moment_checks_the_size(h):
     p = NoncrossingPartition.top(3)
     with pytest.raises(DomainError):
         partition_moment(p, [(None, _var(_c(h, "e1")))])
-
-
-@st.composite
-def branching_graphs(draw):
-    """Small random multigraphs.  Vertex v0 always carries a self-loop and a
-    second out-edge, so it branches; up to two more edges land anywhere."""
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
-    ends = [("v0", "v0"), ("v0", draw(st.sampled_from(vertices)))]
-    for _ in range(draw(st.integers(0, 2))):
-        ends.append((draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))))
-    edges = [{"id": f"e{k}", "src": s, "dst": t} for k, (s, t) in enumerate(ends)]
-    return load_graph({"vertices": vertices, "edges": edges})
 
 
 def _random_diagonal(g, rng) -> DiagonalElement:

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles and a seeded variable generator.
+"""Shared test helpers: independent oracles, a seeded variable generator and
+a strategy for random branching multigraphs.
 
 Everything here is deliberately naive.  The point is to cross-check the
 engine against implementations that share no code with it.
@@ -13,6 +14,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
+from hypothesis import strategies as st
+
 from graphfp import (
     DiagonalElement,
     ExactComplex,
@@ -22,6 +25,7 @@ from graphfp import (
     cumulant,
     enumerate_nc,
     enumerate_paths,
+    load_graph,
     moment,
 )
 
@@ -203,3 +207,15 @@ def random_variable(
         )
         items.append(((w, star), c))
     return RandomVariable(graph, items)
+
+
+@st.composite
+def branching_graphs(draw):
+    """Small random multigraphs.  Vertex v0 always carries a self-loop and a
+    second out-edge, so it branches; up to two more edges land anywhere."""
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    ends = [("v0", "v0"), ("v0", draw(st.sampled_from(vertices)))]
+    for _ in range(draw(st.integers(0, 2))):
+        ends.append((draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))))
+    edges = [{"id": f"e{k}", "src": s, "dst": t} for k, (s, t) in enumerate(ends)]
+    return load_graph({"vertices": vertices, "edges": edges})
