@@ -41,9 +41,11 @@ from .opcalc import (
 )
 from .scalars import ExactComplex, format_rational
 
-# Desk-scale bounds: cumulant-type evaluations sum over NC(n), and the
-# oracle's basis holds every word of length <= --trunc.
+# Desk-scale bounds: cumulant-type evaluations sum over NC(n), the freeness
+# scan does so for every {a, a*, b, b*} pattern of each order, and the
+# oracle's basis and the path listing hold every word of length <= the bound.
 ORDER_LIMIT = 8
+FREE_ORDER_LIMIT = 6
 NC_LIMIT = 10
 BASIS_LIMIT = 4096
 
@@ -118,8 +120,18 @@ def _coeff_pair(c: ExactComplex) -> list[str]:
 # -- subcommand handlers (payload, table lines) -----------------------------
 
 
+def _require_basis(graph: Graph, max_len: int, flag: str) -> None:
+    size = basis_size(graph, max_len, BASIS_LIMIT)
+    if size > BASIS_LIMIT:
+        raise DomainError(
+            f"{flag} {max_len} needs at least {size} basis words, "
+            f"above the supported bound {BASIS_LIMIT}"
+        )
+
+
 def _cmd_paths(args):
     graph = _load_graph(args.graph)
+    _require_basis(graph, args.max_len, "--max-len")
     words = enumerate_paths(graph, args.max_len)
     literals = [str(w) for w in words]
     return literals, literals
@@ -197,7 +209,7 @@ def _cmd_cumulant(args):
 def _cmd_free(args):
     a = _load_variable(args.var)
     b = _load_variable(args.var2)
-    _require_order(args.max_order, ORDER_LIMIT, "max order")
+    _require_order(args.max_order, FREE_ORDER_LIMIT, "max order")
     certified = freeness_certificate(a, b)
     ok, witness = mixed_cumulants_vanish(a, b, args.max_order)
     payload = {
@@ -273,12 +285,7 @@ def _cmd_series(args):
 
 def _cmd_oracle(args):
     graph = _load_graph(args.graph)
-    size = basis_size(graph, args.trunc, BASIS_LIMIT)
-    if size > BASIS_LIMIT:
-        raise DomainError(
-            f"--trunc {args.trunc} needs at least {size} basis words, "
-            f"above the supported bound {BASIS_LIMIT}"
-        )
+    _require_basis(graph, args.trunc, "--trunc")
     reports = verify_relations(graph, args.trunc)
     lines = [
         f"{r['status']:<12}  {r['max_error']:.3e}  {r['relation']}"

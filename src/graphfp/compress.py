@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError
-from .freeprob import cumulant, moment
+from .freeprob import _ChainProducts, moment
 from .graph import PathWord
 from .opcalc import ExactComplex, RandomVariable
 
@@ -55,11 +55,13 @@ def compressed_moment_series(
 def compressed_r_transform(
     a: RandomVariable, v0: str, order: int
 ) -> list[ExactComplex]:
-    """Scalar cumulants of the compression at v0, orders 1..order."""
+    """Scalar cumulants of the compression at v0, orders 1..order; the
+    orders share one table of chain products."""
     if order < 1:
         raise DomainError("series order must be >= 1")
     x = compress_vertex(a, v0)
-    return [cumulant([x] * n).value.get(v0) for n in range(1, order + 1)]
+    table = _ChainProducts()
+    return [table.cumulant([x] * n).value.get(v0) for n in range(1, order + 1)]
 
 
 def diagonal_compress(a: RandomVariable, vertices: Sequence[str]) -> RandomVariable:

@@ -9,6 +9,12 @@ of the next surviving position; values of blocks with nothing to their right
 multiply into the final answer.  The order is immaterial because E is a
 bimodule map over the diagonal, E(d X d') = d E(X) d'.  Cumulants invert
 moments through the Mobius function of the noncrossing partition lattice.
+
+A block's value depends only on its variables and the diagonals pending in
+front of them, so each top-level call (a cumulant, a freeness scan, a
+classification, a compressed R-series) keeps one table of chain products
+and extends a stored prefix by one slot instead of rebuilding the chain for
+every partition, pattern and order.  ``moment`` builds its chain directly.
 """
 
 from __future__ import annotations
@@ -95,42 +101,6 @@ def moment(
     return expectation(_chain(variables, ds))
 
 
-def partition_moment(
-    partition: NoncrossingPartition,
-    items: Sequence[tuple[DiagonalElement | None, Element]],
-) -> DiagonalElement:
-    """Evaluate E along a noncrossing partition of the slot positions."""
-    n = len(items)
-    if partition.n != n:
-        raise DomainError(f"partition of {partition.n} against {n} slots")
-    graph = _graph_of(items[0][1])
-    pending = [d for d, _a in items]
-    # after[i]: the first live position to the right of position i (n: none).
-    after = list(range(1, n + 1))
-    closed: DiagonalElement | None = None
-    # Blocks are ordered by their minima, so when a block comes up every
-    # block that starts later is gone and it is an interval of the live
-    # positions; every position before it is still live.
-    for block in reversed(partition.blocks):
-        first, last = block[0] - 1, block[-1] - 1
-        value = expectation(
-            _chain([items[j - 1][1] for j in block], [pending[j - 1] for j in block])
-        )
-        if value.is_zero():
-            # A zero block value annihilates its enclosing bracket.
-            return DiagonalElement.zero(graph)
-        nxt = after[last]
-        if nxt < n:
-            cur = pending[nxt]
-            pending[nxt] = value if cur is None else value * cur
-        else:
-            closed = value if closed is None else closed * value
-        if first:
-            after[first - 1] = nxt
-    assert closed is not None
-    return DiagonalElement(graph, dict(closed.entries))
-
-
 @dataclass
 class CumulantReport:
     """Cumulant value plus its per-partition decomposition."""
@@ -141,29 +111,121 @@ class CumulantReport:
     weights: dict[NoncrossingPartition, int]
 
 
+class _ChainProducts:
+    """The chain products of one top-level call, shared by all its blocks.
+
+    A key is a tuple of (slot, pending diagonal) pairs, one per block
+    position.  The slot is the position of the variable in the call's list
+    of distinct variables, found by identity rather than ``id``, which a
+    freed temporary can hand on.  The pending diagonal is None or the
+    entries of the diagonal standing in front of the variable.  A table
+    lives only as long as the call that made it.
+    """
+
+    def __init__(self) -> None:
+        self._variables: list[Element] = []
+        self._products: dict[tuple, GeneralElement] = {}
+
+    def _slot(self, x: Element) -> int:
+        for i, v in enumerate(self._variables):
+            if v is x:
+                return i
+        self._variables.append(x)
+        return len(self._variables) - 1
+
+    def _block_value(
+        self,
+        variables: Sequence[Element],
+        diagonals: Sequence[DiagonalElement | None],
+    ) -> DiagonalElement:
+        """E(d1 a1 ... dk ak): each prefix product comes from the table or
+        extends the previous prefix by one slot."""
+        key: tuple = ()
+        product: GeneralElement | None = None
+        for a, d in zip(variables, diagonals):
+            key += ((self._slot(a), None if d is None else frozenset(d.entries.items())),)
+            cached = self._products.get(key)
+            if cached is None:
+                cached = _chain([a], [d]) if product is None else _chain([product, a], [None, d])
+                self._products[key] = cached
+            product = cached
+        return expectation(product)
+
+    def partition_moment(
+        self,
+        partition: NoncrossingPartition,
+        items: Sequence[tuple[DiagonalElement | None, Element]],
+    ) -> DiagonalElement:
+        n = len(items)
+        if partition.n != n:
+            raise DomainError(f"partition of {partition.n} against {n} slots")
+        graph = _graph_of(items[0][1])
+        pending = [d for d, _a in items]
+        # after[i]: the first live position to the right of position i (n: none).
+        after = list(range(1, n + 1))
+        closed: DiagonalElement | None = None
+        # Blocks are ordered by their minima, so when a block comes up every
+        # block that starts later is gone and it is an interval of the live
+        # positions; every position before it is still live.
+        for block in reversed(partition.blocks):
+            first, last = block[0] - 1, block[-1] - 1
+            value = self._block_value(
+                [items[j - 1][1] for j in block], [pending[j - 1] for j in block]
+            )
+            if value.is_zero():
+                # A zero block value annihilates its enclosing bracket.
+                return DiagonalElement.zero(graph)
+            nxt = after[last]
+            if nxt < n:
+                cur = pending[nxt]
+                pending[nxt] = value if cur is None else value * cur
+            else:
+                closed = value if closed is None else closed * value
+            if first:
+                after[first - 1] = nxt
+        assert closed is not None
+        return DiagonalElement(graph, dict(closed.entries))
+
+    def cumulant(
+        self,
+        variables: Sequence[Element],
+        diagonals: Sequence[DiagonalElement | None] | None = None,
+    ) -> CumulantReport:
+        ds = _check_slots(variables, diagonals)
+        n = len(variables)
+        graph = _graph_of(variables[0])
+        items = list(zip(ds, variables))
+        value = DiagonalElement.zero(graph)
+        contributions: dict[NoncrossingPartition, DiagonalElement] = {}
+        weights: dict[NoncrossingPartition, int] = {}
+        for p, weight in zip(enumerate_nc(n), top_weights(n)):
+            contrib = self.partition_moment(p, items)
+            contributions[p] = contrib
+            weights[p] = weight
+            if not contrib.is_zero():
+                value = value + contrib.scale(weight)
+        return CumulantReport(n, value, contributions, weights)
+
+
+def partition_moment(
+    partition: NoncrossingPartition,
+    items: Sequence[tuple[DiagonalElement | None, Element]],
+) -> DiagonalElement:
+    """Evaluate E along a noncrossing partition of the slot positions."""
+    return _ChainProducts().partition_moment(partition, items)
+
+
 def cumulant(
     variables: Sequence[Element],
     diagonals: Sequence[DiagonalElement | None] | None = None,
 ) -> CumulantReport:
     """n-th amalgamated cumulant by Mobius inversion over all of NC(n)."""
-    ds = _check_slots(variables, diagonals)
-    n = len(variables)
-    graph = _graph_of(variables[0])
-    items = list(zip(ds, variables))
-    value = DiagonalElement.zero(graph)
-    contributions: dict[NoncrossingPartition, DiagonalElement] = {}
-    weights: dict[NoncrossingPartition, int] = {}
-    for p, weight in zip(enumerate_nc(n), top_weights(n)):
-        contrib = partition_moment(p, items)
-        contributions[p] = contrib
-        weights[p] = weight
-        value = value + contrib.scale(weight)
-    return CumulantReport(n, value, contributions, weights)
+    return _ChainProducts().cumulant(variables, diagonals)
 
 
 def trivial_cumulant(variable: Element, n: int) -> DiagonalElement:
     """k_n(a, ..., a) with unit diagonal slots."""
-    return cumulant([variable] * n).value
+    return _ChainProducts().cumulant([variable] * n).value
 
 
 def is_partition_connected(
@@ -229,10 +291,11 @@ def mixed_cumulants_vanish(
         raise DomainError("variables live over different graphs")
     if max_order < 2:
         raise DomainError("max_order must be >= 2")
+    table = _ChainProducts()
     if a == b and a.path_support():
         # k2(a, a*) has only nonnegative diagonal weights off the square
         # terms, so it cannot vanish when a has path support.
-        witness = FreenessWitness(2, ("a", "b*"), cumulant([a, a.adjoint()]).value)
+        witness = FreenessWitness(2, ("a", "b*"), table.cumulant([a, a.adjoint()]).value)
         return False, witness
     slots = {"a": a, "a*": a.adjoint(), "b": b, "b*": b.adjoint()}
     for n in range(2, max_order + 1):
@@ -240,7 +303,7 @@ def mixed_cumulants_vanish(
             kinds = {label[0] for label in pattern}
             if kinds != {"a", "b"}:
                 continue
-            value = cumulant([slots[label] for label in pattern]).value
+            value = table.cumulant([slots[label] for label in pattern]).value
             if not value.is_zero():
                 return False, FreenessWitness(n, pattern, value)
     return True, None
@@ -289,7 +352,8 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
     if max_order % 2:
         raise DomainError("max_order must be even")
     self_adjoint = a.is_self_adjoint()
-    trivial = {n: trivial_cumulant(a, n) for n in range(1, max_order + 1)}
+    table = _ChainProducts()
+    trivial = {n: table.cumulant([a] * n).value for n in range(1, max_order + 1)}
     semicircular = (
         self_adjoint
         and not trivial[2].is_zero()
@@ -307,7 +371,7 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
             )
             if alternating:
                 continue
-            value = cumulant([adj if star else a for star in pattern]).value
+            value = table.cumulant([adj if star else a for star in pattern]).value
             if not value.is_zero():
                 r_diagonal = False
                 break

@@ -167,6 +167,30 @@ def test_oracle_refuses_a_basis_above_the_bound(capsys):
         assert "at least 8191 basis words" in err
 
 
+def test_free_refuses_orders_above_its_own_bound(capsys):
+    # The scan covers every {a, a*, b, b*} pattern of each order, so free
+    # stops at 6 while cumulant, series and classify go to 8.
+    for order in ("7", "8"):
+        argv = ["free", "--var", _d("e1_only.json"), "--var2", _d("e2_only.json"),
+                "--max-order", order]
+        code, out, err = _run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert f"max order {order} exceeds the supported bound 6" in err
+    assert _run(["classify", "--var", _d("a_loop.json"), "--max-order", "8"], capsys)[0] == 0
+
+
+def test_paths_refuses_a_listing_above_the_bound(capsys):
+    # loops2 has 2^(k+1) - 1 words of length <= k, as for the oracle basis.
+    doc = _json_of(["paths", "--graph", _d("loops2.json"), "--max-len", "11"], capsys)
+    assert len(doc) == 4095
+    for max_len in ("12", "40"):
+        code, out, err = _run(["paths", "--graph", _d("loops2.json"), "--max-len", max_len], capsys)
+        assert code == 3
+        assert out == ""
+        assert "--max-len " + max_len + " needs at least 8191 basis words" in err
+
+
 # -- the documented bounds -----------------------------------------------------
 
 

@@ -43,10 +43,12 @@ from graphfp import (
 
 from util import (
     branching_graphs,
+    freeness_scan_by_brute_force,
     nested_cumulant,
     partition_moment_by_interval_search,
     random_variable,
     scalar_cumulants_from_moments,
+    uncached_cumulant,
 )
 
 
@@ -138,13 +140,13 @@ def _random_diagonal(g, rng) -> DiagonalElement:
     )
 
 
-def _random_slot_variable(g, rng) -> RandomVariable:
+def _random_slot_variable(g, rng, max_terms=3) -> RandomVariable:
     # Vertex terms and loops, made self-adjoint half the time, keep many
     # partition moments nonzero; the other half draws from every path.
     if rng.random() < 0.5:
-        return random_variable(g, rng, max_len=2, max_terms=3)
+        return random_variable(g, rng, max_len=2, max_terms=max_terms)
     based = [w for w in enumerate_paths(g, 2) if w.is_vertex or w.is_loop]
-    a = random_variable(g, rng, max_terms=3, words=based)
+    a = random_variable(g, rng, max_terms=max_terms, words=based)
     return a + a.adjoint() if rng.random() < 0.5 else a
 
 
@@ -232,6 +234,39 @@ def test_moment_is_the_sum_of_nested_cumulants(h):
             for p in enumerate_nc(n):
                 total = total + nested_cumulant(p, variables)
             assert total == moment(variables)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branching_graphs(), st.integers(2, 4), st.randoms(use_true_random=False))
+def test_moment_is_the_sum_of_nested_cumulants_on_branching_graphs(g, n, rng):
+    # moment does not share chain products, so this checks the cumulants
+    # against the plain left-to-right product chain.
+    variables = [_random_slot_variable(g, rng) for _ in range(n)]
+    total = DiagonalElement.zero(g)
+    for p in enumerate_nc(n):
+        total = total + nested_cumulant(p, variables)
+    assert total == moment(variables)
+
+
+@settings(max_examples=80, deadline=None)
+@given(branching_graphs(), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_cumulant_matches_the_uncached_partition_sum(g, n, rng):
+    # Two variable objects fill all n slots, so one variable comes back under
+    # different pending diagonals, both given and spliced in by blocks.
+    pool = [_random_slot_variable(g, rng) for _ in range(2)]
+    variables = [rng.choice(pool) for _ in range(n)]
+    diagonals = [_random_diagonal(g, rng) if rng.random() < 0.5 else None for _ in range(n)]
+    assert cumulant(variables, diagonals).value == uncached_cumulant(variables, diagonals)
+
+
+@settings(max_examples=15, deadline=None)
+@given(branching_graphs(), st.randoms(use_true_random=False))
+def test_freeness_scan_matches_the_uncached_brute_scan(g, rng):
+    # Two terms at most keep the uncached scan of a free pair short.
+    a, b = _random_slot_variable(g, rng, 2), _random_slot_variable(g, rng, 2)
+    ok, witness = mixed_cumulants_vanish(a, b, 4)
+    found = None if witness is None else (witness.order, witness.pattern, witness.value)
+    assert (ok, found) == freeness_scan_by_brute_force(a, b, 4)
 
 
 def test_cumulant_is_a_diagonal_bimodule_map(h):

@@ -28,6 +28,7 @@ from graphfp import (
     load_graph,
     moment,
 )
+from graphfp.ncpart import top_weights
 
 # Verdict lines collected by the acceptance suite; the conftest terminal
 # summary hook prints them once the run is over.
@@ -186,6 +187,35 @@ def partition_moment_by_interval_search(
     return _eliminate_interval_blocks(
         partition, [a for _d, a in items], [d for d, _a in items], moment
     )
+
+
+def uncached_cumulant(variables: Sequence, diagonals: Sequence | None = None) -> DiagonalElement:
+    """k_n as the sum over NC(n) of mu(pi, 1_n) times the partition moment
+    by interval search, each bracket a plain ``moment``: no chain product
+    is shared between blocks, partitions or calls."""
+    n = len(variables)
+    items = list(zip(diagonals or [None] * n, variables))
+    total = DiagonalElement.zero(variables[0].graph)
+    for p, weight in zip(enumerate_nc(n), top_weights(n)):
+        total = total + partition_moment_by_interval_search(p, items).scale(weight)
+    return total
+
+
+def freeness_scan_by_brute_force(a: RandomVariable, b: RandomVariable, max_order: int):
+    """The scan of ``mixed_cumulants_vanish``, every cumulant summed afresh by
+    ``uncached_cumulant``: (True, None), or (False, (order, pattern, value))
+    for the first nonvanishing mixed cumulant in the same pattern order."""
+    if a == b and a.path_support():
+        return False, (2, ("a", "b*"), uncached_cumulant([a, a.adjoint()]))
+    slots = {"a": a, "a*": a.adjoint(), "b": b, "b*": b.adjoint()}
+    for n in range(2, max_order + 1):
+        for pattern in product(("a", "a*", "b", "b*"), repeat=n):
+            if {label[0] for label in pattern} != {"a", "b"}:
+                continue
+            value = uncached_cumulant([slots[label] for label in pattern])
+            if not value.is_zero():
+                return False, (n, pattern, value)
+    return True, None
 
 
 def random_variable(
