@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError
-from .freeprob import _ChainProducts, moment
+from .freeprob import _ChainProducts
 from .graph import PathWord
-from .opcalc import ExactComplex, RandomVariable
+from .opcalc import ExactComplex, RandomVariable, expectation, multiply, to_general
 
 __all__ = [
     "compress_vertex",
@@ -48,8 +48,15 @@ def compressed_moment_series(
     """Scalar moments of the compression at v0, orders 1..order."""
     if order < 1:
         raise DomainError("series order must be >= 1")
-    x = compress_vertex(a, v0)
-    return [moment([x] * n).get(v0) for n in range(1, order + 1)]
+    # One chain, extended by one factor per order: the left-to-right
+    # product that ``moment([x] * n)`` builds.
+    x = to_general(compress_vertex(a, v0))
+    chain = x
+    series = [expectation(chain).get(v0)]
+    for _ in range(1, order):
+        chain = multiply(chain, x)
+        series.append(expectation(chain).get(v0))
+    return series
 
 
 def compressed_r_transform(

@@ -124,7 +124,8 @@ class _ChainProducts:
 
     def __init__(self) -> None:
         self._variables: list[Element] = []
-        self._products: dict[tuple, GeneralElement] = {}
+        # key -> [chain product, its expectation once a block has asked for it]
+        self._products: dict[tuple, list] = {}
 
     def _slot(self, x: Element) -> int:
         for i, v in enumerate(self._variables):
@@ -139,17 +140,20 @@ class _ChainProducts:
         diagonals: Sequence[DiagonalElement | None],
     ) -> DiagonalElement:
         """E(d1 a1 ... dk ak): each prefix product comes from the table or
-        extends the previous prefix by one slot."""
+        extends the previous prefix by one slot, and the expectation is
+        stored next to the product of the whole block."""
         key: tuple = ()
-        product: GeneralElement | None = None
+        entry: list | None = None
         for a, d in zip(variables, diagonals):
             key += ((self._slot(a), None if d is None else frozenset(d.entries.items())),)
             cached = self._products.get(key)
             if cached is None:
-                cached = _chain([a], [d]) if product is None else _chain([product, a], [None, d])
-                self._products[key] = cached
-            product = cached
-        return expectation(product)
+                product = _chain([a], [d]) if entry is None else _chain([entry[0], a], [None, d])
+                cached = self._products[key] = [product, None]
+            entry = cached
+        if entry[1] is None:
+            entry[1] = expectation(entry[0])
+        return entry[1]
 
     def partition_moment(
         self,

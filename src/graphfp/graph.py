@@ -222,7 +222,13 @@ def concat(w1: PathWord, w2: PathWord) -> PathWord | None:
         return w2
     if w2.is_vertex:
         return w1
-    return path_word(w1.graph, w1.edges + w2.edges)
+    # Both halves are admissible and the junction matches, so the joined
+    # word needs no edge-by-edge check.
+    word = object.__new__(PathWord)
+    object.__setattr__(word, "graph", w1.graph)
+    object.__setattr__(word, "vertex", None)
+    object.__setattr__(word, "edges", w1.edges + w2.edges)
+    return word
 
 
 def loop_power(word: PathWord, k: int) -> PathWord:

@@ -587,6 +587,14 @@ class GeneralElement:
     def zero(cls, graph: Graph) -> "GeneralElement":
         return cls(graph)
 
+    @classmethod
+    def _clean(cls, graph: Graph, terms: dict[Pair, ExactComplex]) -> "GeneralElement":
+        # Internal results whose coefficients are ExactComplex and nonzero.
+        out = cls.__new__(cls)
+        out.graph = graph
+        out.terms = terms
+        return out
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -669,13 +677,14 @@ def multiply(x: Element, y: Element) -> GeneralElement:
     gx, gy = to_general(x), to_general(y)
     if gx.graph != gy.graph:
         raise DomainError("cannot multiply elements over different graphs")
-    items = []
+    acc: dict[Pair, ExactComplex] = {}
     for p1, c1 in gx.terms.items():
         for p2, c2 in gy.terms.items():
             form = _pair_product(p1, p2)
-            if not isinstance(form, Zero):
-                items.append((form, c1 * c2))
-    return GeneralElement(gx.graph, items)
+            if form is not ZERO_FORM:
+                prev = acc.get(form)
+                acc[form] = c1 * c2 if prev is None else prev + c1 * c2
+    return GeneralElement._clean(gx.graph, {p: c for p, c in acc.items() if c})
 
 
 def expectation(x: Element | NormalForm, graph: Graph | None = None) -> DiagonalElement:
@@ -698,11 +707,11 @@ def expectation(x: Element | NormalForm, graph: Graph | None = None) -> Diagonal
     if isinstance(x, RandomVariable):
         return x.diagonal()
     gx = to_general(x)
-    out = DiagonalElement.zero(gx.graph)
-    for pair, c in gx.terms.items():
-        if pair.is_vertex_pair:
-            out = out + DiagonalElement(gx.graph, {pair.alpha.vertex: c})
-    return out
+    # Distinct terms have distinct pairs, so each vertex pair occurs once.
+    return DiagonalElement(
+        gx.graph,
+        {pair.alpha.vertex: c for pair, c in gx.terms.items() if pair.is_vertex_pair},
+    )
 
 
 # -- JSON shapes -----------------------------------------------------------

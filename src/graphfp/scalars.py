@@ -42,7 +42,14 @@ def _coerce(value) -> Fraction:
 
 @dataclass(frozen=True)
 class ExactComplex:
-    """Immutable complex number with rational real/imaginary parts."""
+    """Immutable complex number with rational real/imaginary parts.
+
+    Arithmetic takes a real-only branch when both imaginary parts are zero.
+    """
+
+    # Declared by hand: ``slots=True`` would rebuild the class, and the frozen
+    # ``__setattr__`` of the rebuilt class raises TypeError for unknown names.
+    __slots__ = ("re", "im")
 
     re: Fraction
     im: Fraction
@@ -51,29 +58,40 @@ class ExactComplex:
         object.__setattr__(self, "re", _coerce(self.re))
         object.__setattr__(self, "im", _coerce(self.im))
 
+    def __reduce__(self):
+        # Frozen slots cannot be restored by setattr, so pickle and copy
+        # rebuild the value through the constructor.
+        return (ExactComplex, (self.re, self.im))
+
     @staticmethod
     def of(value) -> "ExactComplex":
         """Coerce an int, Fraction, or ExactComplex to an ExactComplex."""
         if isinstance(value, ExactComplex):
             return value
-        return ExactComplex(_coerce(value), Fraction(0))
+        return _exact(_coerce(value), Fraction(0))
 
     def __add__(self, other) -> "ExactComplex":
         other = ExactComplex.of(other)
-        return ExactComplex(self.re + other.re, self.im + other.im)
+        if not self.im and not other.im:
+            return _exact(self.re + other.re, self.im)
+        return _exact(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactComplex":
         other = ExactComplex.of(other)
-        return ExactComplex(self.re - other.re, self.im - other.im)
+        if not self.im and not other.im:
+            return _exact(self.re - other.re, self.im)
+        return _exact(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other) -> "ExactComplex":
         return ExactComplex.of(other) - self
 
     def __mul__(self, other) -> "ExactComplex":
         other = ExactComplex.of(other)
-        return ExactComplex(
+        if not self.im and not other.im:
+            return _exact(self.re * other.re, self.im)
+        return _exact(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -81,13 +99,13 @@ class ExactComplex:
     __rmul__ = __mul__
 
     def __neg__(self) -> "ExactComplex":
-        return ExactComplex(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def conjugate(self) -> "ExactComplex":
-        return ExactComplex(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -103,6 +121,15 @@ class ExactComplex:
             return imag
         sign = "+" if self.im > 0 else ""
         return f"{format_rational(self.re)}{sign}{imag}"
+
+
+def _exact(re: Fraction, im: Fraction) -> ExactComplex:
+    # Arithmetic results: the parts are Fractions already, so the coercion
+    # of __post_init__ is skipped.
+    z = object.__new__(ExactComplex)
+    object.__setattr__(z, "re", re)
+    object.__setattr__(z, "im", im)
+    return z
 
 
 ZERO = ExactComplex(Fraction(0), Fraction(0))

@@ -7,6 +7,7 @@ number formatting and trailing newlines are all part of the contract.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -222,6 +223,22 @@ def test_rtransform_series_at_the_order_bound(capsys):
     want = [_arcsine_cumulant(n) for n in range(1, 9)]
     assert want == [0, 2, 0, -2, 0, 4, 0, -10]
     assert doc["coefficients"] == [[str(k), "0"] for k in want]
+
+
+def test_only_the_rtransform_series_has_the_order_bound(capsys):
+    # The moment series (the default kind) accepts orders up to 10**6; the
+    # R-series stops at 8 like cumulant and classify.
+    argv = ["series", "--var", _d("a_loop.json"), "--vertex", "v1", "--order", "9"]
+    doc = _json_of(argv, capsys)
+    assert doc["kind"] == "moment"
+    # Moments of the arcsine law: C(2m, m) at order 2m, 0 at odd orders.
+    assert doc["coefficients"] == [
+        [str(0 if n % 2 else math.comb(n, n // 2)), "0"] for n in range(1, 10)
+    ]
+    code, out, err = _run(argv + ["--kind", "rtransform"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "rtransform series order 9 exceeds the supported bound 8" in err
 
 
 def test_nc_debug_at_the_size_bound(capsys):

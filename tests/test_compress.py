@@ -11,10 +11,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfp import (
     DiagonalElement,
     DomainError,
+    ExactComplex,
     RandomVariable,
     annihilation,
     compress_vertex,
@@ -22,7 +25,9 @@ from graphfp import (
     compressed_r_transform,
     creation,
     diagonal_compress,
+    enumerate_paths,
     mixed_cumulants_vanish,
+    moment,
     multiply,
     path_word,
     to_general,
@@ -30,7 +35,12 @@ from graphfp import (
     vertex_word,
 )
 
-from util import balanced_sign_count, random_variable
+from util import (
+    balanced_sign_count,
+    branching_graphs,
+    ck_moments_by_words,
+    random_variable,
+)
 
 
 def _c(g, *edges):
@@ -129,6 +139,47 @@ def test_series_reject_bad_orders(h, loop_var):
         compressed_moment_series(loop_var, "v1", 0)
     with pytest.raises(DomainError):
         compressed_r_transform(loop_var, "v1", 0)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(branching_graphs(), st.data())
+def test_moments_and_compressed_series_match_the_word_oracle(g, data):
+    # Imaginary parts are often zero, so products take both the real-only and
+    # the complex branch of the scalars.
+    words = enumerate_paths(g, 2)
+    terms = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(words),
+                st.booleans(),
+                _RATIONALS,
+                st.one_of(st.just(Fraction(0)), _RATIONALS),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    x = RandomVariable(g, [((w, star), ExactComplex(re, im)) for w, star, re, im in terms])
+    ends = {e.id: (e.src, e.dst) for e in g.edges}
+    letters = [((w.source, w.edges, star), (re, im)) for w, star, re, im in terms]
+    order = 5
+    want = ck_moments_by_words(ends, letters, order)
+    for n in range(1, order + 1):
+        got = moment([x] * n)
+        assert {v: (c.re, c.im) for v, c in got.entries.items()} == want[n - 1]
+    for v in g.vertices:
+        # The compression at v keeps the v term and the loops based at v.
+        kept = [
+            (letter, c)
+            for letter, c in letters
+            if letter[0] == v and (not letter[1] or ends[letter[1][-1]][1] == v)
+        ]
+        zero = (Fraction(0), Fraction(0))
+        series = [m.get(v, zero) for m in ck_moments_by_words(ends, kept, order)]
+        assert [(c.re, c.im) for c in compressed_moment_series(x, v, order)] == series
 
 
 # -- diagonal compression ----------------------------------------------------------

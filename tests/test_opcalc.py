@@ -12,6 +12,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfp import (
     CK,
@@ -42,8 +44,9 @@ from graphfp import (
     vertex_word,
 )
 from graphfp.opcalc import adjoint_monomial, ck_collapse, pair_letters
+from graphfp.scalars import I, ONE
 
-from util import random_variable
+from util import branching_graphs, random_variable
 
 
 # -- independent left-regular action oracle ----------------------------------
@@ -366,6 +369,53 @@ def test_multiply_distributes_over_addition(h):
     for _ in range(40):
         a, b, c = (random_variable(h, rng) for _ in range(3))
         assert multiply(a + b, c) == multiply(a, c) + multiply(b, c)
+
+
+def test_cancelling_terms_leave_no_entry(h):
+    # l = e1 e2 is a loop at v1, so L[l] L*[l] collapses to L[v1] and cancels
+    # -L[v1] L[v1]; the cross terms give L[l] - L*[l].
+    loop, v1 = path_word(h, ["e1", "e2"]), vertex_word(h, "v1")
+    x = RandomVariable(h, {(loop, False): 1, (v1, False): -1})
+    y = RandomVariable(h, {(loop, True): 1, (v1, False): 1})
+    product = multiply(x, y)
+    assert product == to_general(RandomVariable(h, {(loop, False): 1, (loop, True): -1}))
+    assert Pair(v1, v1) not in product.terms
+
+
+def _letter(word, star):
+    return annihilation(word) if star else creation(word)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branching_graphs(), st.randoms(use_true_random=False))
+def test_products_store_no_zero_coefficient(g, rng):
+    # x = sum of s_i L[w_i] with unit s_i, y the adjoint with random signs:
+    # every L[w_i] L*[w_i] collapses to the source of w_i, so about one case
+    # in five cancels a vertex term.  The product must equal the merge of its
+    # letter products by the validating constructor, which drops zeros.
+    words = enumerate_paths(g, 2)
+    units = [ONE, -ONE, I, -I]
+    x = RandomVariable(
+        g, [((rng.choice(words), False), rng.choice(units)) for _ in range(rng.randint(2, 4))]
+    )
+    y = RandomVariable(
+        g,
+        [((w, True), c.conjugate() * rng.choice(units[:2])) for (w, _s), c in x.terms.items()],
+    )
+    product = multiply(x, y)
+    assert all(type(c) is ExactComplex and not c.is_zero() for c in product.terms.values())
+    merged = GeneralElement(
+        g,
+        [
+            (pair, c)
+            for (w1, s1), c1 in x.terms.items()
+            for (w2, s2), c2 in y.terms.items()
+            for pair, c in to_general(
+                Monomial((_letter(w1, s1), _letter(w2, s2)), c1 * c2)
+            ).terms.items()
+        ],
+    )
+    assert product == merged
 
 
 def test_unit_variable_is_neutral(h):

@@ -249,3 +249,72 @@ def branching_graphs(draw):
         ends.append((draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))))
     edges = [{"id": f"e{k}", "src": s, "dst": t} for k, (s, t) in enumerate(ends)]
     return load_graph({"vertices": vertices, "edges": edges})
+
+
+# -- the CK moment oracle ------------------------------------------------------
+#
+# A normal form L[alpha] L*[beta] is a tuple (alpha_src, alpha_edges,
+# beta_src, beta_edges) of edge-id tuples, an empty tuple standing for the
+# vertex in its source slot.  A letter is (src, edges, star), a vertex letter
+# having no edges.  Coefficients are (re, im) pairs of Fractions, multiplied
+# by hand, so nothing here touches the package's opcalc or scalars.
+
+
+def _pair_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ck_strip(form):
+    # L[a s] L*[b s] = L[a] L*[b]: drop the longest common edge suffix.
+    a_src, a, b_src, b = form
+    k = 0
+    while k < min(len(a), len(b)) and a[len(a) - 1 - k] == b[len(b) - 1 - k]:
+        k += 1
+    return (a_src, a[: len(a) - k], b_src, b[: len(b) - k])
+
+
+def _ck_times_letter(ends, form, letter):
+    """The normal form of ``form * letter``, or None for zero; ``form`` None
+    is the empty product."""
+    src, w, star = letter
+    tgt = ends[w[-1]][1] if w else src
+    if form is None:
+        return _ck_strip((tgt, (), src, w) if star and w else (src, w, tgt, ()))
+    a_src, a, b_src, b = form
+    if star and w:
+        # L*[b] L*[w] = L*[w b], defined when w ends where b starts.
+        return _ck_strip((a_src, a, src, w + b)) if tgt == b_src else None
+    # L*[b] L[w]: one word must extend the other from their common source.
+    if src != b_src:
+        return None
+    if w[: len(b)] == b:
+        grown = a + w[len(b):]
+        return _ck_strip((a_src, grown, ends[grown[-1]][1] if grown else a_src, ()))
+    if b[: len(w)] == w:
+        return _ck_strip((a_src, a, tgt, b[len(w):]))
+    return None
+
+
+def ck_moments_by_words(ends, terms, order):
+    """D-valued moments E(x^n), n = 1..order, of x = sum of c L[w] and c L*[w].
+
+    ``ends`` maps each edge id to its (src, dst); ``terms`` lists
+    ((src, edges, star), (re, im)).  Every letter product of x^n is reduced
+    from the left under the CK rule, and the vertex pairs L[v] L*[v] of the
+    result are read off.  Returns one {vertex: (re, im)} per order, zeros
+    dropped."""
+    zero = (Fraction(0), Fraction(0))
+    forms = {None: (Fraction(1), Fraction(0))}
+    out = []
+    for _ in range(order):
+        grown: dict = {}
+        for form, c in forms.items():
+            for letter, d in terms:
+                nxt = _ck_times_letter(ends, form, letter)
+                if nxt is not None:
+                    prev = grown.get(nxt, zero)
+                    cd = _pair_mul(c, d)
+                    grown[nxt] = (prev[0] + cd[0], prev[1] + cd[1])
+        forms = {f: c for f, c in grown.items() if c != zero}
+        out.append({f[0]: c for f, c in forms.items() if not f[1] and not f[3]})
+    return out
