@@ -13,12 +13,13 @@ vertices.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from .errors import DomainError
-from .freeprob import _ChainProducts
+from .freeprob import _chain_prefixes, _ChainProducts
 from .graph import PathWord
-from .opcalc import ExactComplex, RandomVariable, expectation, multiply, to_general
+from .opcalc import ExactComplex, RandomVariable, expectation, to_general
 
 __all__ = [
     "compress_vertex",
@@ -48,15 +49,12 @@ def compressed_moment_series(
     """Scalar moments of the compression at v0, orders 1..order."""
     if order < 1:
         raise DomainError("series order must be >= 1")
-    # One chain, extended by one factor per order: the left-to-right
-    # product that ``moment([x] * n)`` builds.
+    # The n-th prefix of one chain is the product ``moment([x] * n)`` builds.
     x = to_general(compress_vertex(a, v0))
-    chain = x
-    series = [expectation(chain).get(v0)]
-    for _ in range(1, order):
-        chain = multiply(chain, x)
-        series.append(expectation(chain).get(v0))
-    return series
+    return [
+        expectation(p).get(v0)
+        for p in _chain_prefixes(repeat(x, order), repeat(None, order))
+    ]
 
 
 def compressed_r_transform(

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .graph import Graph, diagram_distinct_sets
@@ -78,17 +78,26 @@ def _graph_of(x: Element) -> Graph:
     return g
 
 
-def _chain(
-    variables: Sequence[Element],
-    diagonals: Sequence[DiagonalElement | None],
-) -> GeneralElement:
+def _chain_prefixes(
+    variables: Iterable[Element],
+    diagonals: Iterable[DiagonalElement | None],
+) -> Iterator[GeneralElement]:
+    """The left-to-right products d1 a1 ... dk ak, one per variable slot."""
     out: GeneralElement | None = None
     for d, a in zip(diagonals, variables):
         for factor in (d, a):
             if factor is None:
                 continue
             out = to_general(factor) if out is None else multiply(out, factor)
-    assert out is not None
+        yield out
+
+
+def _chain(
+    variables: Sequence[Element],
+    diagonals: Sequence[DiagonalElement | None],
+) -> GeneralElement:
+    for out in _chain_prefixes(variables, diagonals):
+        pass
     return out
 
 

@@ -40,16 +40,12 @@ def _coerce(value) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactComplex:
     """Immutable complex number with rational real/imaginary parts.
 
     Arithmetic takes a real-only branch when both imaginary parts are zero.
     """
-
-    # Declared by hand: ``slots=True`` would rebuild the class, and the frozen
-    # ``__setattr__`` of the rebuilt class raises TypeError for unknown names.
-    __slots__ = ("re", "im")
 
     re: Fraction
     im: Fraction
@@ -57,11 +53,6 @@ class ExactComplex:
     def __post_init__(self):
         object.__setattr__(self, "re", _coerce(self.re))
         object.__setattr__(self, "im", _coerce(self.im))
-
-    def __reduce__(self):
-        # Frozen slots cannot be restored by setattr, so pickle and copy
-        # rebuild the value through the constructor.
-        return (ExactComplex, (self.re, self.im))
 
     @staticmethod
     def of(value) -> "ExactComplex":

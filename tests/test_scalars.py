@@ -152,7 +152,7 @@ def test_scalars_never_equal_plain_numbers():
 def test_scalars_are_immutable_slotted_values():
     z = ExactComplex(Fraction(1), Fraction(2))
     for name in ("re", "im", "other"):
-        with pytest.raises(AttributeError):
+        with pytest.raises((AttributeError, TypeError)):
             setattr(z, name, Fraction(0))
     assert not hasattr(z, "__dict__")
     assert (z.re, z.im) == (1, 2)
