@@ -13,7 +13,6 @@ vertices.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 from .errors import DomainError
@@ -49,12 +48,10 @@ def compressed_moment_series(
     """Scalar moments of the compression at v0, orders 1..order."""
     if order < 1:
         raise DomainError("series order must be >= 1")
-    # The n-th prefix of one chain is the product ``moment([x] * n)`` builds.
+    # The n-th prefix of one chain keeps the grading-0 part of the product
+    # ``moment([x] * n)`` builds, so it has the same expectation.
     x = to_general(compress_vertex(a, v0))
-    return [
-        expectation(p).get(v0)
-        for p in _chain_prefixes(repeat(x, order), repeat(None, order))
-    ]
+    return [expectation(p).get(v0) for p in _chain_prefixes([x] * order, [None] * order)]
 
 
 def compressed_r_transform(

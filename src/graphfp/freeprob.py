@@ -14,14 +14,24 @@ A block's value depends only on its variables and the diagonals pending in
 front of them, so each top-level call (a cumulant, a freeness scan, a
 classification, a compressed R-series) keeps one table of chain products
 and extends a stored prefix by one slot instead of rebuilding the chain for
-every partition, pattern and order.  ``moment`` builds its chain directly.
+every partition, pattern and order.
+
+``moment`` and the compressed moment series build their chain directly and
+prune it by grading.  A normal form L[alpha] L*[beta] has grading
+|alpha| - |beta|; every reduction step adds the gradings of its factors, and
+E keeps only grading-0 forms.  Each slot's range of gradings, widened to
+hold 0, is summed over the slots still to come; a prefix term whose
+negated grading lies outside that window can never return to grading 0 and
+is dropped.  The window always holds 0, so every prefix keeps its whole
+grading-0 part and its expectation stays exact.  The chain-product table
+does not prune: it cannot foresee which slots will extend a prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .graph import Graph, diagram_distinct_sets
@@ -33,6 +43,7 @@ from .opcalc import (
     GeneralElement,
     GeneratorLetter,
     Monomial,
+    Pair,
     RandomVariable,
     expectation,
     multiply,
@@ -78,27 +89,39 @@ def _graph_of(x: Element) -> Graph:
     return g
 
 
+def _grading(pair: Pair) -> int:
+    return pair.alpha.length - pair.beta.length
+
+
 def _chain_prefixes(
-    variables: Iterable[Element],
-    diagonals: Iterable[DiagonalElement | None],
-) -> Iterator[GeneralElement]:
-    """The left-to-right products d1 a1 ... dk ak, one per variable slot."""
-    out: GeneralElement | None = None
-    for d, a in zip(diagonals, variables):
-        for factor in (d, a):
-            if factor is None:
-                continue
-            out = to_general(factor) if out is None else multiply(out, factor)
-        yield out
-
-
-def _chain(
     variables: Sequence[Element],
     diagonals: Sequence[DiagonalElement | None],
-) -> GeneralElement:
-    for out in _chain_prefixes(variables, diagonals):
-        pass
-    return out
+) -> Iterator[GeneralElement]:
+    """The left-to-right products d1 a1 ... dk ak, one per variable slot,
+    each cut to the gradings that the later slots can bring back to 0."""
+    slots = [
+        [to_general(f) for f in (d, a) if f is not None]
+        for d, a in zip(diagonals, variables)
+    ]
+    # A term of grading g after slot i can return to grading 0 only when -g
+    # lies in the sum of the later slots' grading ranges.  Each range is
+    # widened to hold 0, so every window holds 0 and contains the windows
+    # after it: each prefix keeps its whole grading-0 part.
+    windows = [(0, 0)]
+    for factors in reversed(slots[1:]):
+        lo, hi = windows[-1]
+        for f in factors:
+            gradings = [0, *map(_grading, f.terms)]
+            lo, hi = lo + min(gradings), hi + max(gradings)
+        windows.append((lo, hi))
+    out: GeneralElement | None = None
+    for factors, (lo, hi) in zip(slots, reversed(windows)):
+        for f in factors:
+            out = f if out is None else multiply(out, f)
+        out = GeneralElement._clean(
+            out.graph, {p: c for p, c in out.terms.items() if lo <= -_grading(p) <= hi}
+        )
+        yield out
 
 
 def moment(
@@ -106,8 +129,9 @@ def moment(
     diagonals: Sequence[DiagonalElement | None] | None = None,
 ) -> DiagonalElement:
     """E(d1 a1 d2 a2 ... dn an); a ``None`` diagonal slot is the unit."""
-    ds = _check_slots(variables, diagonals)
-    return expectation(_chain(variables, ds))
+    for out in _chain_prefixes(variables, _check_slots(variables, diagonals)):
+        pass
+    return expectation(out)
 
 
 @dataclass
@@ -132,15 +156,16 @@ class _ChainProducts:
     """
 
     def __init__(self) -> None:
-        self._variables: list[Element] = []
+        # Each distinct variable of the call next to its normal-form view.
+        self._variables: list[tuple[Element, GeneralElement]] = []
         # key -> [chain product, its expectation once a block has asked for it]
         self._products: dict[tuple, list] = {}
 
     def _slot(self, x: Element) -> int:
-        for i, v in enumerate(self._variables):
+        for i, (v, _general) in enumerate(self._variables):
             if v is x:
                 return i
-        self._variables.append(x)
+        self._variables.append((x, to_general(x)))
         return len(self._variables) - 1
 
     def _block_value(
@@ -150,14 +175,20 @@ class _ChainProducts:
     ) -> DiagonalElement:
         """E(d1 a1 ... dk ak): each prefix product comes from the table or
         extends the previous prefix by one slot, and the expectation is
-        stored next to the product of the whole block."""
+        stored next to the product of the whole block.  The table cannot
+        tell which slots will extend a prefix, so it keeps every term."""
         key: tuple = ()
         entry: list | None = None
         for a, d in zip(variables, diagonals):
-            key += ((self._slot(a), None if d is None else frozenset(d.entries.items())),)
+            slot = self._slot(a)
+            key += ((slot, None if d is None else frozenset(d.entries.items())),)
             cached = self._products.get(key)
             if cached is None:
-                product = _chain([a], [d]) if entry is None else _chain([entry[0], a], [None, d])
+                prefix = None if entry is None else entry[0]
+                if d is not None:
+                    prefix = d if prefix is None else multiply(prefix, d)
+                general = self._variables[slot][1]
+                product = general if prefix is None else multiply(prefix, general)
                 cached = self._products[key] = [product, None]
             entry = cached
         if entry[1] is None:

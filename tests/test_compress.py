@@ -7,8 +7,10 @@ element algebra, and the loop moment series against a balanced-sign count.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +28,14 @@ from graphfp import (
     creation,
     diagonal_compress,
     enumerate_paths,
+    load_graph,
     mixed_cumulants_vanish,
     moment,
     multiply,
     path_word,
     to_general,
     trivial_cumulant,
+    variable_from_json,
     vertex_word,
 )
 
@@ -134,6 +138,34 @@ def test_series_away_from_the_support_vanish(h, loop_var):
     assert all(x.is_zero() for x in compressed_moment_series(loop_var, "v2", 4))
 
 
+def test_one_sided_and_empty_compressions_have_zero_series(tri):
+    # At x the compression keeps only the creation loop L[sx], at y only the
+    # annihilation loop L*[sy], and at z nothing; the uncompressed variable
+    # has a nonzero second moment at x and y.
+    a = _var(_c(tri, "sx")) + _var(_a(tri, "sy")) + _var(_c(tri, "a")) + _var(_a(tri, "a"))
+    assert compress_vertex(a, "x") == _var(_c(tri, "sx"))
+    assert compress_vertex(a, "y") == _var(_a(tri, "sy"))
+    assert compress_vertex(a, "z").is_zero()
+    assert not moment([a, a]).is_zero()
+    for v in ("x", "y", "z"):
+        assert all(c.is_zero() for c in compressed_moment_series(a, v, 24))
+
+
+def test_series_prefixes_equal_the_moments_on_two_loops():
+    # Each prefix of the order-8 chain is pruned by a wider window than
+    # the chain that moment([x] * n) builds, yet both keep grading 0 whole.
+    data = Path(__file__).parent / "data"
+    g = load_graph(json.loads((data / "loops2.json").read_text()))
+    # L[s] + L*[s] + L[t] + L*[t], two loops at the one vertex v.
+    x = variable_from_json(json.loads((data / "loops2_sum.json").read_text()), g)
+    series = compressed_moment_series(x, "v", 8)
+    assert series == [moment([x] * n).get("v") for n in range(1, 9)]
+    one = (Fraction(1), Fraction(0))
+    terms = [(("v", (e,), star), one) for e in ("s", "t") for star in (False, True)]
+    want = ck_moments_by_words({"s": ("v", "v"), "t": ("v", "v")}, [terms] * 8)
+    assert [(c.re, c.im) for c in series] == [m.get("v", (0, 0)) for m in want]
+
+
 def test_series_reject_bad_orders(h, loop_var):
     with pytest.raises(DomainError):
         compressed_moment_series(loop_var, "v1", 0)
@@ -166,7 +198,7 @@ def test_moments_and_compressed_series_match_the_word_oracle(g, data):
     ends = {e.id: (e.src, e.dst) for e in g.edges}
     letters = [((w.source, w.edges, star), (re, im)) for w, star, re, im in terms]
     order = 5
-    want = ck_moments_by_words(ends, letters, order)
+    want = ck_moments_by_words(ends, [letters] * order)
     for n in range(1, order + 1):
         got = moment([x] * n)
         assert {v: (c.re, c.im) for v, c in got.entries.items()} == want[n - 1]
@@ -178,7 +210,7 @@ def test_moments_and_compressed_series_match_the_word_oracle(g, data):
             if letter[0] == v and (not letter[1] or ends[letter[1][-1]][1] == v)
         ]
         zero = (Fraction(0), Fraction(0))
-        series = [m.get(v, zero) for m in ck_moments_by_words(ends, kept, order)]
+        series = [m.get(v, zero) for m in ck_moments_by_words(ends, [kept] * order)]
         assert [(c.re, c.im) for c in compressed_moment_series(x, v, order)] == series
 
 

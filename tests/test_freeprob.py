@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 from graphfp import (
     DiagonalElement,
     DomainError,
+    ExactComplex,
     Monomial,
     NoncrossingPartition,
     RandomVariable,
     annihilation,
     classify,
+    compress_vertex,
     connectivity_multiplier,
     creation,
     cumulant,
@@ -38,11 +40,15 @@ from graphfp import (
     partition_moment,
     path_word,
     star_axis_property,
+    to_general,
     trivial_cumulant,
+    vertex_word,
 )
+from graphfp.freeprob import _chain_prefixes
 
 from util import (
     branching_graphs,
+    ck_moments_by_words,
     freeness_scan_by_brute_force,
     nested_cumulant,
     partition_moment_by_interval_search,
@@ -96,6 +102,137 @@ def test_moment_rejects_bad_slots(h, loop_var):
         moment([])
     with pytest.raises(DomainError):
         moment([loop_var], [None, None])
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_COEFFICIENTS = st.tuples(_RATIONALS, st.one_of(st.just(Fraction(0)), _RATIONALS))
+
+# How a slot variable draws its terms: from every word of length <= 2 with
+# either star, from paths only with one star, from vertices only, or as a
+# compression that keeps nothing.  Creation-only and annihilation-only
+# variables have one-sided grading ranges, so their windows reach 0 from
+# one side only.
+_KINDS = ("any", "creation", "annihilation", "vertex", "empty")
+_STARS = {"creation": st.just(False), "annihilation": st.just(True)}
+
+
+@st.composite
+def _slot_products(draw):
+    """(variables, diagonals, factors): a product d1 x1 ... dn xn over a
+    random branching graph whose xk come from a pool of distinct variables,
+    and the same product as oracle factors (terms of d1, x1, d2, ...)."""
+    g = draw(branching_graphs())
+    words = enumerate_paths(g, 2)
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(_KINDS), min_size=1, max_size=3)):
+        if kind == "empty":
+            v = draw(st.sampled_from(sorted(g.vertices)))
+            kept = {w for w in words if w.vertex == v or (w.is_loop and w.source == v)}
+            choices = [w for w in words if w not in kept]
+        elif kind == "vertex":
+            choices = [w for w in words if w.is_vertex]
+        else:
+            choices = [w for w in words if kind == "any" or not w.is_vertex]
+        # On a one-vertex graph every word is kept at v: the empty
+        # compression is then the compression of the zero variable.
+        terms = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(choices),
+                    _STARS.get(kind, st.booleans()),
+                    _COEFFICIENTS,
+                ),
+                min_size=0 if kind == "empty" else 1,
+                max_size=3,
+            )
+        ) if choices else []
+        x = RandomVariable(g, [((w, star), ExactComplex(*c)) for w, star, c in terms])
+        if kind == "empty":
+            x = compress_vertex(x, v)
+            assert x.is_zero()
+            terms = []
+        pool.append((x, [((w.source, w.edges, star), c) for w, star, c in terms]))
+    if draw(st.booleans()):
+        # Adjoints give products that come back to the diagonal through
+        # gradings of both signs.
+        pool += [
+            (x.adjoint(), [((v, w, s != bool(w)), (re, -im)) for (v, w, s), (re, im) in t])
+            for x, t in pool
+        ]
+    variables, diagonals, factors = [], [], []
+    for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
+        n = len(g.vertices)
+        entries = draw(st.one_of(st.none(), st.lists(_RATIONALS, min_size=n, max_size=n)))
+        x, terms = pool[k]
+        variables.append(x)
+        if entries is None:
+            diagonals.append(None)
+        else:
+            d = dict(zip(sorted(g.vertices), entries))
+            diagonals.append(_diag(g, d))
+            factors.append([((v, (), False), (c, Fraction(0))) for v, c in d.items()])
+        factors.append(terms)
+    return variables, diagonals, factors
+
+
+def _as_pairs(d: DiagonalElement) -> dict:
+    return {v: (c.re, c.im) for v, c in d.entries.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_slot_products())
+def test_moments_of_slot_sequences_match_the_word_oracle(case):
+    # moment prunes its chain by grading; the one-block partition moment
+    # goes through the unpruned table of chain products.
+    variables, diagonals, factors = case
+    g = variables[0].graph
+    want = ck_moments_by_words({e.id: (e.src, e.dst) for e in g.edges}, factors)[-1]
+    assert _as_pairs(moment(variables, diagonals)) == want
+    top = NoncrossingPartition.top(len(variables))
+    assert _as_pairs(partition_moment(top, list(zip(diagonals, variables)))) == want
+
+
+def _grading(pair) -> int:
+    return pair.alpha.length - pair.beta.length
+
+
+def _letter_range(x: RandomVariable) -> tuple[int, int]:
+    # Gradings of the variable's letters, widened to hold 0.
+    gradings = [0] + [-w.length if star else w.length for w, star in x.terms]
+    return min(gradings), max(gradings)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_slot_products())
+def test_chain_prefixes_keep_every_term_that_can_return_to_grading_zero(case):
+    variables, diagonals, _factors = case
+    ranges = [_letter_range(x) for x in variables]
+    unpruned = None
+    prefixes = list(_chain_prefixes(variables, diagonals))
+    assert len(prefixes) == len(variables)
+    for i, prefix in enumerate(prefixes):
+        for f in (diagonals[i], variables[i]):
+            if f is not None:
+                unpruned = to_general(f) if unpruned is None else multiply(unpruned, f)
+        lo = sum(r[0] for r in ranges[i + 1:])
+        hi = sum(r[1] for r in ranges[i + 1:])
+        assert lo <= 0 <= hi
+        assert all(lo <= -_grading(p) <= hi for p in prefix.terms)
+        # The prefix is the unpruned one cut to its window, so in particular
+        # its grading-0 part is whole.
+        assert prefix.terms == {
+            p: c for p, c in unpruned.terms.items() if lo <= -_grading(p) <= hi
+        }
+
+
+def test_chain_prefixes_drop_what_the_later_slots_cannot_undo(h):
+    # x = L[v1] + L[l] has gradings 0 and +2, so after the first of three
+    # slots only grading <= 0 survives, and the last prefix keeps grading 0.
+    x = _var(creation(vertex_word(h, "v1"))) + _var(_c(h, "e1", "e2"))
+    first, _second, last = _chain_prefixes([x] * 3, [None] * 3)
+    assert list(first.terms) == [p for p in to_general(x).terms if _grading(p) == 0]
+    assert {_grading(p) for p in last.terms} == {0}
+    assert moment([x] * 3) == _diag(h, {"v1": 1})
 
 
 # -- partition moments ---------------------------------------------------------

@@ -295,18 +295,20 @@ def _ck_times_letter(ends, form, letter):
     return None
 
 
-def ck_moments_by_words(ends, terms, order):
-    """D-valued moments E(x^n), n = 1..order, of x = sum of c L[w] and c L*[w].
+def ck_moments_by_words(ends, factors):
+    """D-valued moments E(x1 ... xk) of every prefix of a product x1 ... xn,
+    each factor a sum of c L[w] and c L*[w] (a diagonal is a sum of vertex
+    letters L[v]).
 
-    ``ends`` maps each edge id to its (src, dst); ``terms`` lists
-    ((src, edges, star), (re, im)).  Every letter product of x^n is reduced
-    from the left under the CK rule, and the vertex pairs L[v] L*[v] of the
-    result are read off.  Returns one {vertex: (re, im)} per order, zeros
-    dropped."""
+    ``ends`` maps each edge id to its (src, dst); ``factors`` lists, for each
+    factor, its terms ((src, edges, star), (re, im)).  Every letter product
+    is reduced from the left under the CK rule, and the vertex pairs
+    L[v] L*[v] of each prefix are read off.  Returns one {vertex: (re, im)}
+    per prefix, zeros dropped."""
     zero = (Fraction(0), Fraction(0))
     forms = {None: (Fraction(1), Fraction(0))}
     out = []
-    for _ in range(order):
+    for terms in factors:
         grown: dict = {}
         for form, c in forms.items():
             for letter, d in terms:
