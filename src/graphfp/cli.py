@@ -269,8 +269,7 @@ def _cmd_compress(args):
 
 def _cmd_series(args):
     var = _load_variable(args.var)
-    limit = ORDER_LIMIT if args.kind == "rtransform" else 10**6
-    _require_order(args.order, limit, f"{args.kind} series order")
+    _require_order(args.order, 10**6, f"{args.kind} series order")
     fn = compressed_r_transform if args.kind == "rtransform" else compressed_moment_series
     coeffs = fn(var, args.vertex, args.order)
     payload = {

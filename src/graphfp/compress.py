@@ -9,6 +9,15 @@ two.  The compressed expectation is the ``v0`` entry of the diagonal
 expectation, so compressed moment and cumulant series are scalar sequences.
 A diagonal compression sums the vertex compressions over a set of distinct
 vertices.
+
+The compressed cumulants are scalar free cumulants.  The compression
+x = L[v0] a L[v0] lives in the corner L[v0] W*(G) L[v0], where every
+diagonal value is a multiple of L[v0]: a block's value spliced between two
+slots is c L[v0], and x c L[v0] x = c x x.  So every partition moment is the
+product of the scalar moments m_|B| of its blocks, and the cumulants solve
+the scalar moment-cumulant relation.  With M(z) = 1 + sum_k m_k z^k it reads
+m_n = sum_{s=1}^{n} k_s [z^(n-s)] M(z)^s (Nica-Speicher, Lecture 16), which
+gives each k_n from the moments and the earlier cumulants.
 """
 
 from __future__ import annotations
@@ -16,9 +25,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError
-from .freeprob import _chain_prefixes, _ChainProducts
+from .freeprob import _chain_prefixes
 from .graph import PathWord
 from .opcalc import ExactComplex, RandomVariable, expectation, to_general
+from .scalars import ONE, ZERO
 
 __all__ = [
     "compress_vertex",
@@ -57,13 +67,31 @@ def compressed_moment_series(
 def compressed_r_transform(
     a: RandomVariable, v0: str, order: int
 ) -> list[ExactComplex]:
-    """Scalar cumulants of the compression at v0, orders 1..order; the
-    orders share one table of chain products."""
-    if order < 1:
-        raise DomainError("series order must be >= 1")
-    x = compress_vertex(a, v0)
-    table = _ChainProducts()
-    return [table.cumulant([x] * n).value.get(v0) for n in range(1, order + 1)]
+    """Scalar cumulants of the compression at v0, orders 1..order, solved
+    from its moment series one order at a time."""
+    m = [ONE, *compressed_moment_series(a, v0, order)]
+    # rest[n]: sum of k_s [z^(n-s)] M^s over the cumulants k_s found so far;
+    # [z^0] M^s = 1, so m_n = k_n + rest[n].
+    rest = [ZERO] * (order + 1)
+    power = [ONE] + [ZERO] * order
+    out = []
+    for s in range(1, order + 1):
+        # M^s from M^(s-1), to the degree order - s that later orders read.
+        top = order - s
+        nxt = [ZERO] * (top + 1)
+        for i in range(top + 1):
+            if power[i]:
+                for j in range(top + 1 - i):
+                    if m[j]:
+                        nxt[i + j] += power[i] * m[j]
+        power = nxt
+        k = m[s] - rest[s]
+        out.append(k)
+        if k:
+            for j in range(1, top + 1):
+                if power[j]:
+                    rest[s + j] += k * power[j]
+    return out
 
 
 def diagonal_compress(a: RandomVariable, vertices: Sequence[str]) -> RandomVariable:

@@ -12,9 +12,9 @@ moments through the Mobius function of the noncrossing partition lattice.
 
 A block's value depends only on its variables and the diagonals pending in
 front of them, so each top-level call (a cumulant, a freeness scan, a
-classification, a compressed R-series) keeps one table of chain products
-and extends a stored prefix by one slot instead of rebuilding the chain for
-every partition, pattern and order.
+classification) keeps one table of chain products and extends a stored
+prefix by one slot instead of rebuilding the chain for every partition,
+pattern and order.
 
 ``moment`` and the compressed moment series build their chain directly and
 prune it by grading.  A normal form L[alpha] L*[beta] has grading

@@ -178,11 +178,6 @@ class PathWord:
     def is_loop(self) -> bool:
         return not self.is_vertex and self.source == self.target
 
-    @property
-    def is_basic_loop(self) -> bool:
-        """True for loops that are not a proper power of a shorter loop."""
-        return self.is_loop and primitive_root(self) == self
-
     def __str__(self) -> str:
         return " ".join(word_tokens(self))
 

@@ -78,9 +78,6 @@ class NoncrossingPartition:
     def block_index(self) -> dict[int, int]:
         return _block_index(self)
 
-    def block_of(self, element: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index()[element]]
-
     @classmethod
     def bottom(cls, n: int) -> "NoncrossingPartition":
         return cls(n, tuple((i,) for i in range(1, n + 1)))

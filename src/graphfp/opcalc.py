@@ -502,9 +502,6 @@ class RandomVariable:
     def support(self) -> set[PathWord]:
         return {w for (w, _s) in self.terms}
 
-    def vertex_support(self) -> set[str]:
-        return {w.vertex for (w, _s) in self.terms if w.is_vertex}
-
     def path_support(self) -> set[PathWord]:
         return {w for (w, _s) in self.terms if not w.is_vertex}
 
@@ -516,33 +513,12 @@ class RandomVariable:
             if (w, False) in self.terms and (w, True) in self.terms
         }
 
-    def unpaired_path_support(self) -> set[PathWord]:
-        return self.path_support() - self.paired_path_support()
-
     def loops_at(self, v: str) -> set[PathWord]:
         self.graph.require_vertex(v)
         return {w for w in self.path_support() if w.is_loop and w.source == v}
 
     def paired_loops_at(self, v: str) -> set[PathWord]:
         return {w for w in self.loops_at(v) if w in self.paired_path_support()}
-
-    # -- canonical decomposition -------------------------------------------
-
-    def diagonal_part(self) -> "RandomVariable":
-        return self._filtered(lambda w: w.is_vertex)
-
-    def paired_part(self) -> "RandomVariable":
-        paired = self.paired_path_support()
-        return self._filtered(lambda w: w in paired)
-
-    def unpaired_part(self) -> "RandomVariable":
-        unpaired = self.unpaired_path_support()
-        return self._filtered(lambda w: w in unpaired)
-
-    def _filtered(self, keep) -> "RandomVariable":
-        return RandomVariable(
-            self.graph, {k: c for k, c in self.terms.items() if keep(k[0])}
-        )
 
     def diagonal(self) -> DiagonalElement:
         """The vertex component as a DiagonalElement."""

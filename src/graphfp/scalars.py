@@ -101,9 +101,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __str__(self) -> str:
         if self.im == 0:
             return format_rational(self.re)

@@ -225,20 +225,29 @@ def test_rtransform_series_at_the_order_bound(capsys):
     assert doc["coefficients"] == [[str(k), "0"] for k in want]
 
 
-def test_only_the_rtransform_series_has_the_order_bound(capsys):
-    # The moment series (the default kind) accepts orders up to 10**6; the
-    # R-series stops at 8 like cumulant and classify.
-    argv = ["series", "--var", _d("a_loop.json"), "--vertex", "v1", "--order", "9"]
+def test_both_series_kinds_take_orders_past_the_cumulant_bound(capsys):
+    # The R-series is solved from the moment series by the scalar
+    # moment-cumulant recursion, so both kinds accept orders up to 10**6;
+    # bad orders and unknown vertices still exit 3 at once.
+    argv = ["series", "--var", _d("a_loop.json"), "--vertex", "v1", "--order", "64"]
     doc = _json_of(argv, capsys)
     assert doc["kind"] == "moment"
     # Moments of the arcsine law: C(2m, m) at order 2m, 0 at odd orders.
     assert doc["coefficients"] == [
-        [str(0 if n % 2 else math.comb(n, n // 2)), "0"] for n in range(1, 10)
+        [str(0 if n % 2 else math.comb(n, n // 2)), "0"] for n in range(1, 65)
     ]
-    code, out, err = _run(argv + ["--kind", "rtransform"], capsys)
-    assert code == 3
-    assert out == ""
-    assert "rtransform series order 9 exceeds the supported bound 8" in err
+    doc = _json_of(argv + ["--kind", "rtransform"], capsys)
+    assert doc["kind"] == "rtransform"
+    assert doc["coefficients"] == [[str(_arcsine_cumulant(n)), "0"] for n in range(1, 65)]
+    assert _arcsine_cumulant(64) == -2 * catalan(31)
+    for kind in ("moment", "rtransform"):
+        for flag, value in (("--order", "0"), ("--vertex", "v9")):
+            bad = list(argv)
+            bad[bad.index(flag) + 1] = value
+            code, out, err = _run(bad + ["--kind", kind], capsys)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("graphfp: domain error:")
 
 
 def test_nc_debug_at_the_size_bound(capsys):

@@ -3,6 +3,10 @@
 The support law (compression keeps exactly the v0 vertex term and the loops
 based at v0) is checked against the projection sandwich computed by the
 element algebra, and the loop moment series against a balanced-sign count.
+The R-series, solved from the moment series by the scalar recursion, is
+checked against the D-valued NC(n) cumulant and the scalar NC(n) sum, and
+the paper's main theorem (freeness over D survives compression) is a
+random property.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from util import (
     branching_graphs,
     ck_moments_by_words,
     random_variable,
+    scalar_cumulants_from_moments,
 )
 
 
@@ -164,6 +169,24 @@ def test_series_prefixes_equal_the_moments_on_two_loops():
     terms = [(("v", (e,), star), one) for e in ("s", "t") for star in (False, True)]
     want = ck_moments_by_words({"s": ("v", "v"), "t": ("v", "v")}, [terms] * 8)
     assert [(c.re, c.im) for c in series] == [m.get("v", (0, 0)) for m in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(branching_graphs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_r_series_matches_the_nc_cumulants(g, seed, real):
+    a = random_variable(g, random.Random(seed))
+    if real:
+        a = RandomVariable(g, {k: ExactComplex(c.re, 0) for k, c in a.terms.items()})
+    for v in g.vertices:
+        series = compressed_r_transform(a, v, 6)
+        x = compress_vertex(a, v)
+        assert series == [trivial_cumulant(x, n).get(v) for n in range(1, 7)]
+        if real:
+            moments = compressed_moment_series(a, v, 6)
+            assert all(m.im == 0 for m in moments)
+            assert [k.re for k in series] == scalar_cumulants_from_moments(
+                [m.re for m in moments]
+            )
 
 
 def test_series_reject_bad_orders(h, loop_var):
@@ -292,3 +315,35 @@ def test_identical_diagonal_compressions_pass_the_guard(h, sampler):
     x = compress_vertex(d, "v1")
     ok, witness = mixed_cumulants_vanish(x, x, max_order=4)
     assert ok and witness is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(branching_graphs(), st.integers(0, 2**32 - 1))
+def test_freeness_over_the_diagonal_survives_vertex_compression(g, seed):
+    # The paper's main theorem: D-valued freeness implies compressed freeness.
+    rng = random.Random(seed)
+    a = random_variable(g, rng, max_terms=2)
+    b = random_variable(g, rng, max_terms=2)
+    if not mixed_cumulants_vanish(a, b, 4)[0]:
+        return
+    for v in g.vertices:
+        ok, witness = mixed_cumulants_vanish(compress_vertex(a, v), compress_vertex(b, v), 4)
+        assert ok, (v, witness)
+
+
+@settings(max_examples=50, deadline=None)
+@given(branching_graphs(), st.integers(0, 2**32 - 1), st.data())
+def test_diagonal_compression_is_free_iff_every_vertex_compression_is(g, seed, data):
+    # L[v] L[w] = 0 for v != w, so a diagonal compression is the direct sum
+    # of its vertex corners.
+    rng = random.Random(seed)
+    a = random_variable(g, rng, max_terms=2)
+    b = random_variable(g, rng, max_terms=2)
+    vertices = data.draw(st.lists(st.sampled_from(g.vertices), min_size=1, unique=True))
+    ok, _witness = mixed_cumulants_vanish(
+        diagonal_compress(a, vertices), diagonal_compress(b, vertices), 4
+    )
+    assert ok == all(
+        mixed_cumulants_vanish(compress_vertex(a, v), compress_vertex(b, v), 4)[0]
+        for v in vertices
+    )

@@ -78,7 +78,7 @@ def test_vertex_word_properties(h):
 def test_path_admissibility(h):
     w = path_word(h, ["e1", "e2"])
     assert (w.source, w.target, w.length) == ("v1", "v1", 2)
-    assert w.is_loop and w.is_basic_loop
+    assert w.is_loop and primitive_root(w) == w
     with pytest.raises(DomainError):
         path_word(h, ["e1", "e1"])
     with pytest.raises(DomainError):

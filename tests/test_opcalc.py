@@ -320,14 +320,11 @@ def test_support_partitions(h):
             (e1, False): ExactComplex.of(1),
         },
     )
-    assert a.vertex_support() == {"v1"}
     assert a.path_support() == {l, e1}
     assert a.paired_path_support() == {l}
-    assert a.unpaired_path_support() == {e1}
     assert a.loops_at("v1") == {l}
     assert a.paired_loops_at("v1") == {l}
     assert a.loops_at("v2") == set()
-    assert a.diagonal_part() + a.paired_part() + a.unpaired_part() == a
     assert a.diagonal().entries == {"v1": ExactComplex.of(1)}
 
 

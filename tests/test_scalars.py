@@ -52,12 +52,6 @@ def test_field_operations():
     assert a * b == ExactComplex(Fraction(2), Fraction(35, 6))
 
 
-def test_multiplication_against_builtin_complex():
-    a = ExactComplex(Fraction(1, 2), Fraction(3))
-    b = ExactComplex(Fraction(2), Fraction(-1, 3))
-    assert complex(a * b) == complex(a) * complex(b)
-
-
 def test_conjugate_and_negation():
     a = ExactComplex(Fraction(2, 3), Fraction(-5))
     assert a.conjugate() == ExactComplex(Fraction(2, 3), Fraction(5))
