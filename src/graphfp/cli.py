@@ -41,9 +41,10 @@ from .opcalc import (
 )
 from .scalars import ExactComplex, format_rational
 
-# Desk-scale bounds: cumulant-type evaluations sum over NC(n), the freeness
-# scan does so for every {a, a*, b, b*} pattern of each order, and the
-# oracle's basis and the path listing hold every word of length <= the bound.
+# Desk-scale bounds: the cumulant report sums over NC(n), the freeness scan
+# runs the first-block recursion over the {a, a*, b, b*} patterns of each
+# order (4^n of them, half skipped as mirrors), and the oracle's basis and
+# the path listing hold every word of length <= the bound.
 ORDER_LIMIT = 8
 FREE_ORDER_LIMIT = 6
 NC_LIMIT = 10

@@ -7,8 +7,16 @@ each then an interval of the surviving positions: its bracket is evaluated
 under E and the resulting diagonal value is spliced in as a left multiplier
 of the next surviving position; values of blocks with nothing to their right
 multiply into the final answer.  The order is immaterial because E is a
-bimodule map over the diagonal, E(d X d') = d E(X) d'.  Cumulants invert
-moments through the Mobius function of the noncrossing partition lattice.
+bimodule map over the diagonal, E(d X d') = d E(X) d'.  ``cumulant`` sums
+the partition moments over NC(n) with their Mobius weights, so its report
+shows every partition.  All other cumulant values come from the first-block
+recursion (Speicher): with V = {1 = i1 < ... < is} the block of 1,
+
+    k_n(x1, ..., xn) = E(x1 ... xn)
+        - sum over V != [n] of k_s(x1, D2 x_i2, ..., Ds x_is) E(x_(is+1) ... xn),
+
+Dt being E of the gap in front of x_it times that slot's own diagonal, split
+into vertex projections since D is the functions on the vertices.
 
 A block's value depends only on its variables and the diagonals pending in
 front of them, so each top-level call (a cumulant, a freeness scan, a
@@ -30,7 +38,7 @@ does not prune: it cannot foresee which slots will extend a prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -51,6 +59,7 @@ from .opcalc import (
     star_axis_property,
     to_general,
 )
+from .scalars import ONE
 
 __all__ = [
     "moment",
@@ -151,8 +160,10 @@ class _ChainProducts:
     position.  The slot is the position of the variable in the call's list
     of distinct variables, found by identity rather than ``id``, which a
     freed temporary can hand on.  The pending diagonal is None or the
-    entries of the diagonal standing in front of the variable.  A table
-    lives only as long as the call that made it.
+    entries of the diagonal standing in front of the variable; in the keys
+    of the first-block recursion it is None or one vertex projection.  A
+    table and its memo of cumulants live only as long as the call that
+    made it.
     """
 
     def __init__(self) -> None:
@@ -160,6 +171,8 @@ class _ChainProducts:
         self._variables: list[tuple[Element, GeneralElement]] = []
         # key -> [chain product, its expectation once a block has asked for it]
         self._products: dict[tuple, list] = {}
+        # key -> entries of its cumulant, from the first-block recursion
+        self._cumulants: dict[tuple, dict] = {}
 
     def _slot(self, x: Element) -> int:
         for i, (v, _general) in enumerate(self._variables):
@@ -168,32 +181,80 @@ class _ChainProducts:
         self._variables.append((x, to_general(x)))
         return len(self._variables) - 1
 
-    def _block_value(
-        self,
-        variables: Sequence[Element],
-        diagonals: Sequence[DiagonalElement | None],
-    ) -> DiagonalElement:
-        """E(d1 a1 ... dk ak): each prefix product comes from the table or
-        extends the previous prefix by one slot, and the expectation is
-        stored next to the product of the whole block.  The table cannot
-        tell which slots will extend a prefix, so it keeps every term."""
-        key: tuple = ()
-        entry: list | None = None
-        for a, d in zip(variables, diagonals):
-            slot = self._slot(a)
-            key += ((slot, None if d is None else frozenset(d.entries.items())),)
-            cached = self._products.get(key)
-            if cached is None:
-                prefix = None if entry is None else entry[0]
-                if d is not None:
-                    prefix = d if prefix is None else multiply(prefix, d)
-                general = self._variables[slot][1]
-                product = general if prefix is None else multiply(prefix, general)
-                cached = self._products[key] = [product, None]
-            entry = cached
+    def _block_value(self, key: tuple) -> DiagonalElement:
+        """E(d1 a1 ... dk ak) of a key: each prefix product comes from the table
+        or extends the previous prefix by one slot, and the expectation is
+        stored next to the product of the whole block.  The table cannot tell
+        which slots will extend a prefix, so it keeps every term."""
+        entry = self._products.get(key)
+        if entry is None:
+            prefix_key: tuple = ()
+            for slot, pending in key:
+                prefix_key += ((slot, pending),)
+                cached = self._products.get(prefix_key)
+                if cached is None:
+                    general = self._variables[slot][1]
+                    prefix = None if entry is None else entry[0]
+                    if pending is not None:
+                        d = DiagonalElement(general.graph, dict(pending))
+                        prefix = d if prefix is None else multiply(prefix, d)
+                    product = general if prefix is None else multiply(prefix, general)
+                    cached = self._products[prefix_key] = [product, None]
+                entry = cached
         if entry[1] is None:
             entry[1] = expectation(entry[0])
         return entry[1]
+
+    def _kappa(self, key: tuple) -> dict:
+        """Entries of the cumulant of a key, by the first-block recursion."""
+        value = self._cumulants.get(key)
+        if value is not None:
+            return value
+        n = len(key)
+        value = dict(self._block_value(key).entries)
+        for size in range(1, n):
+            for rest in combinations(range(1, n), size - 1):
+                block = (0, *rest)
+                after = block[-1] + 1
+                tail = self._block_value(key[after:]).entries if after < n else None
+                if tail is not None and not tail:
+                    continue
+                # Each later position of the block, as (key item, coefficient)
+                # choices: D_t split into vertex projections, None for the unit.
+                choices = []
+                for prev, i in zip(block, block[1:]):
+                    slot, pending = key[i]
+                    if prev + 1 == i:
+                        choices.append((((slot, pending), None),))
+                        continue
+                    gap = self._block_value(key[prev + 1:i]).entries
+                    if pending is not None:
+                        own = dict(pending)
+                        gap = {v: c * own[v] for v, c in gap.items() if v in own}
+                    if not gap:
+                        break
+                    choices.append(
+                        tuple(((slot, frozenset(((v, ONE),))), c) for v, c in gap.items())
+                    )
+                else:
+                    for combo in product(*choices):
+                        inner = self._kappa((key[0], *(item for item, _c in combo)))
+                        for v, k in inner.items():
+                            if tail is not None:
+                                if v not in tail:
+                                    continue
+                                k = k * tail[v]
+                            for _item, c in combo:
+                                if c is not None:
+                                    k = c * k
+                            value[v] = value[v] - k if v in value else -k
+        value = self._cumulants[key] = {v: c for v, c in value.items() if not c.is_zero()}
+        return value
+
+    def kappa(self, variables: Sequence[Element]) -> DiagonalElement:
+        """k_n(a1, ..., an) with unit diagonal slots, by the recursion."""
+        key = tuple((self._slot(x), None) for x in variables)
+        return DiagonalElement(_graph_of(variables[0]), self._kappa(key))
 
     def partition_moment(
         self,
@@ -204,6 +265,7 @@ class _ChainProducts:
         if partition.n != n:
             raise DomainError(f"partition of {partition.n} against {n} slots")
         graph = _graph_of(items[0][1])
+        slots = [self._slot(a) for _d, a in items]
         pending = [d for d, _a in items]
         # after[i]: the first live position to the right of position i (n: none).
         after = list(range(1, n + 1))
@@ -213,9 +275,11 @@ class _ChainProducts:
         # positions; every position before it is still live.
         for block in reversed(partition.blocks):
             first, last = block[0] - 1, block[-1] - 1
-            value = self._block_value(
-                [items[j - 1][1] for j in block], [pending[j - 1] for j in block]
-            )
+            key = []
+            for j in block:
+                d = pending[j - 1]
+                key.append((slots[j - 1], None if d is None else frozenset(d.entries.items())))
+            value = self._block_value(tuple(key))
             if value.is_zero():
                 # A zero block value annihilates its enclosing bracket.
                 return DiagonalElement.zero(graph)
@@ -229,26 +293,6 @@ class _ChainProducts:
                 after[first - 1] = nxt
         assert closed is not None
         return DiagonalElement(graph, dict(closed.entries))
-
-    def cumulant(
-        self,
-        variables: Sequence[Element],
-        diagonals: Sequence[DiagonalElement | None] | None = None,
-    ) -> CumulantReport:
-        ds = _check_slots(variables, diagonals)
-        n = len(variables)
-        graph = _graph_of(variables[0])
-        items = list(zip(ds, variables))
-        value = DiagonalElement.zero(graph)
-        contributions: dict[NoncrossingPartition, DiagonalElement] = {}
-        weights: dict[NoncrossingPartition, int] = {}
-        for p, weight in zip(enumerate_nc(n), top_weights(n)):
-            contrib = self.partition_moment(p, items)
-            contributions[p] = contrib
-            weights[p] = weight
-            if not contrib.is_zero():
-                value = value + contrib.scale(weight)
-        return CumulantReport(n, value, contributions, weights)
 
 
 def partition_moment(
@@ -264,12 +308,25 @@ def cumulant(
     diagonals: Sequence[DiagonalElement | None] | None = None,
 ) -> CumulantReport:
     """n-th amalgamated cumulant by Mobius inversion over all of NC(n)."""
-    return _ChainProducts().cumulant(variables, diagonals)
+    ds = _check_slots(variables, diagonals)
+    n = len(variables)
+    table = _ChainProducts()
+    items = list(zip(ds, variables))
+    value = DiagonalElement.zero(_graph_of(variables[0]))
+    contributions: dict[NoncrossingPartition, DiagonalElement] = {}
+    weights: dict[NoncrossingPartition, int] = {}
+    for p, weight in zip(enumerate_nc(n), top_weights(n)):
+        contrib = table.partition_moment(p, items)
+        contributions[p] = contrib
+        weights[p] = weight
+        if not contrib.is_zero():
+            value = value + contrib.scale(weight)
+    return CumulantReport(n, value, contributions, weights)
 
 
 def trivial_cumulant(variable: Element, n: int) -> DiagonalElement:
     """k_n(a, ..., a) with unit diagonal slots."""
-    return _ChainProducts().cumulant([variable] * n).value
+    return _ChainProducts().kappa([variable] * n)
 
 
 def is_partition_connected(
@@ -324,12 +381,15 @@ class FreenessWitness:
 def mixed_cumulants_vanish(
     a: RandomVariable, b: RandomVariable, max_order: int = 4
 ) -> tuple[bool, FreenessWitness | None]:
-    """Brute-force freeness check over the diagonal.
+    """Exhaustive freeness check over the diagonal.
 
-    Scans every tuple over {a, a*, b, b*} of orders 2..max_order that uses
+    Scans the tuples over {a, a*, b, b*} of orders 2..max_order that use
     both letters and returns the first nonvanishing cumulant as a witness.
-    Identical variables with nonempty path support are reported not free
-    immediately (a variable inside the diagonal is free from everything).
+    E(X)* = E(X*) gives k_n(x1, ..., xn)* = k_n(xn*, ..., x1*), so a tuple
+    whose mirror (reversed, every star flipped) comes earlier in the scan
+    is skipped: that mirror was already found zero.  Identical variables
+    with nonempty path support are reported not free immediately (a
+    variable inside the diagonal is free from everything).
     """
     if a.graph != b.graph:
         raise DomainError("variables live over different graphs")
@@ -339,17 +399,19 @@ def mixed_cumulants_vanish(
     if a == b and a.path_support():
         # k2(a, a*) has only nonnegative diagonal weights off the square
         # terms, so it cannot vanish when a has path support.
-        witness = FreenessWitness(2, ("a", "b*"), table.cumulant([a, a.adjoint()]).value)
+        witness = FreenessWitness(2, ("a", "b*"), table.kappa([a, a.adjoint()]))
         return False, witness
-    slots = {"a": a, "a*": a.adjoint(), "b": b, "b*": b.adjoint()}
+    labels = ("a", "a*", "b", "b*")
+    slots = (a, a.adjoint(), b, b.adjoint())
     for n in range(2, max_order + 1):
-        for pattern in product(("a", "a*", "b", "b*"), repeat=n):
-            kinds = {label[0] for label in pattern}
-            if kinds != {"a", "b"}:
+        # Index i ^ 1 flips the star of label i.
+        for pattern in product(range(4), repeat=n):
+            mixed = {i >> 1 for i in pattern} == {0, 1}
+            if not mixed or tuple(i ^ 1 for i in reversed(pattern)) < pattern:
                 continue
-            value = table.cumulant([slots[label] for label in pattern]).value
+            value = table.kappa([slots[i] for i in pattern])
             if not value.is_zero():
-                return False, FreenessWitness(n, pattern, value)
+                return False, FreenessWitness(n, tuple(labels[i] for i in pattern), value)
     return True, None
 
 
@@ -397,7 +459,7 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
         raise DomainError("max_order must be even")
     self_adjoint = a.is_self_adjoint()
     table = _ChainProducts()
-    trivial = {n: table.cumulant([a] * n).value for n in range(1, max_order + 1)}
+    trivial = {n: table.kappa([a] * n) for n in range(1, max_order + 1)}
     semicircular = (
         self_adjoint
         and not trivial[2].is_zero()
@@ -413,9 +475,10 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
             alternating = n % 2 == 0 and all(
                 pattern[i] != pattern[i + 1] for i in range(n - 1)
             )
-            if alternating:
+            mirror = tuple(not star for star in reversed(pattern))
+            if alternating or mirror < pattern:
                 continue
-            value = table.cumulant([adj if star else a for star in pattern]).value
+            value = table.kappa([adj if star else a for star in pattern])
             if not value.is_zero():
                 r_diagonal = False
                 break

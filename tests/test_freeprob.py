@@ -7,9 +7,11 @@ independent recursion in util.scalar_cumulants_from_moments.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from graphfp import (
     expectation,
     freeness_certificate,
     is_partition_connected,
+    load_graph,
     mixed_cumulants_vanish,
     moment,
     multiply,
@@ -42,12 +45,14 @@ from graphfp import (
     star_axis_property,
     to_general,
     trivial_cumulant,
+    variable_from_json,
     vertex_word,
 )
-from graphfp.freeprob import _chain_prefixes
+from graphfp.freeprob import _ChainProducts, _chain_prefixes
 
 from util import (
     branching_graphs,
+    catalan,
     ck_moments_by_words,
     freeness_scan_by_brute_force,
     nested_cumulant,
@@ -190,6 +195,21 @@ def test_moments_of_slot_sequences_match_the_word_oracle(case):
     assert _as_pairs(moment(variables, diagonals)) == want
     top = NoncrossingPartition.top(len(variables))
     assert _as_pairs(partition_moment(top, list(zip(diagonals, variables)))) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(_slot_products())
+def test_expectation_commutes_with_the_adjoint(case):
+    # (d1 x1 ... dn xn)* = xn* dn* ... d2* x1* d1*, and E(X d) = E(X) d, so
+    # E(X)* = E(X*) reads as a moment of the reversed adjoint slots.
+    variables, diagonals, _factors = case
+    g = variables[0].graph
+    first = DiagonalElement.unit(g) if diagonals[0] is None else diagonals[0]
+    star = moment(
+        [x.adjoint() for x in reversed(variables)],
+        [None] + [None if d is None else d.conjugate() for d in reversed(diagonals[1:])],
+    )
+    assert moment(variables, diagonals).conjugate() == star * first.conjugate()
 
 
 def _grading(pair) -> int:
@@ -396,7 +416,46 @@ def test_cumulant_matches_the_uncached_partition_sum(g, n, rng):
     assert cumulant(variables, diagonals).value == uncached_cumulant(variables, diagonals)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=100, deadline=None)
+@given(branching_graphs(), st.integers(1, 5), st.randoms(use_true_random=False))
+def test_first_block_recursion_matches_the_partition_sums(g, n, rng):
+    # Adjoints and a vertex compression in the pool give cumulants that the
+    # recursion reaches through gap moments of both gradings and of one
+    # vertex only.
+    pool = [_random_slot_variable(g, rng) for _ in range(2)]
+    pool += [x.adjoint() for x in pool]
+    pool.append(compress_vertex(pool[0], rng.choice(sorted(g.vertices))))
+    variables = [rng.choice(pool) for _ in range(n)]
+    want = uncached_cumulant(variables)
+    assert _ChainProducts().kappa(variables) == want
+    assert cumulant(variables).value == want
+    trivial = trivial_cumulant(variables[0], n)
+    assert trivial == uncached_cumulant([variables[0]] * n)
+    assert trivial == cumulant([variables[0]] * n).value
+
+
+@settings(max_examples=60, deadline=None)
+@given(branching_graphs(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_cumulant_of_the_mirrored_slots_is_the_adjoint(g, n, rng):
+    # The scans skip a pattern whose mirror came earlier on this identity.
+    pool = [_random_slot_variable(g, rng) for _ in range(2)]
+    variables = [rng.choice(pool) for _ in range(n)]
+    mirrored = [x.adjoint() for x in reversed(variables)]
+    assert uncached_cumulant(variables).conjugate() == uncached_cumulant(mirrored)
+
+
+def test_trivial_cumulants_of_the_loop_file_are_arcsine():
+    data = Path(__file__).parent / "data"
+    h = load_graph(json.loads((data / "h.json").read_text()))
+    a = variable_from_json(json.loads((data / "a_loop.json").read_text()), h)
+    # k_2m = (-1)^(m-1) 2 C_(m-1) at v1, odd cumulants 0.
+    want = [0 if n % 2 else (-1) ** (n // 2 - 1) * 2 * catalan(n // 2 - 1) for n in range(2, 9)]
+    got = [trivial_cumulant(a, n) for n in range(2, 9)]
+    assert got == [_diag(h, {"v1": k}) for k in want]
+    assert want == [2, 0, -2, 0, 4, 0, -10]
+
+
+@settings(max_examples=40, deadline=None)
 @given(branching_graphs(), st.randoms(use_true_random=False))
 def test_freeness_scan_matches_the_uncached_brute_scan(g, rng):
     # Two terms at most keep the uncached scan of a free pair short.
@@ -543,6 +602,17 @@ def test_certificate_implies_vanishing_mixed_cumulants_at_a_branching_vertex(tri
     b = _var(_c(tri, "a", "b", "c")) + _var(_a(tri, "a", "b", "c"))
     assert freeness_certificate(a, b)
     assert mixed_cumulants_vanish(a, b, max_order=4) == (True, None)
+
+
+def test_scan_witness_at_the_branching_vertex(tri):
+    # The witness behind the strict xfail above, pinned exactly: the mirror
+    # skip must neither hide it nor change it.
+    a = _var(_c(tri, "sx")) + _var(_a(tri, "sx"))
+    b = _var(_c(tri, "a", "b", "c")) + _var(_a(tri, "a", "b", "c"))
+    ok, witness = mixed_cumulants_vanish(a, b, max_order=4)
+    assert not ok
+    assert (witness.order, witness.pattern) == (4, ("a", "b", "b", "a"))
+    assert witness.value == _diag(tri, {"x": -1})
 
 
 def test_identical_variables_with_path_support_are_not_free(h):
