@@ -33,6 +33,17 @@ negated grading lies outside that window can never return to grading 0 and
 is dropped.  The window always holds 0, so every prefix keeps its whole
 grading-0 part and its expectation stays exact.  The chain-product table
 does not prune: it cannot foresee which slots will extend a prefix.
+
+A chain step is a linear map on the span of normal forms, prefix -> prefix f.
+Its row for a left pair p lists the nonzero reductions of p q, one per term
+q of f, with the coefficient of q.  A moment chain keeps one dict of rows per
+distinct factor, found by identity, and the table one per slot and one per
+pending diagonal.  A row is valid for its own factor only.  The factors of a
+table share many terms, so the table also shares the reductions its rows are
+built from, and reduces each pair of normal forms at most once per call; a
+moment chain does not, since a dict of pairs costs more than it saves where
+the forms hardly repeat.  A repeated step only multiplies coefficients and
+adds, and the rows go when the call returns.
 """
 
 from __future__ import annotations
@@ -53,8 +64,8 @@ from .opcalc import (
     Monomial,
     Pair,
     RandomVariable,
+    _times,
     expectation,
-    multiply,
     reduce_monomial,
     star_axis_property,
     to_general,
@@ -108,10 +119,20 @@ def _chain_prefixes(
 ) -> Iterator[GeneralElement]:
     """The left-to-right products d1 a1 ... dk ak, one per variable slot,
     each cut to the gradings that the later slots can bring back to 0."""
-    slots = [
-        [to_general(f) for f in (d, a) if f is not None]
-        for d, a in zip(diagonals, variables)
-    ]
+    # Each distinct factor, found by identity, is converted once and keeps
+    # one rows dict for the whole chain.
+    seen: list[tuple[Element, GeneralElement, dict]] = []
+    slots = []
+    for d, a in zip(diagonals, variables):
+        factors = []
+        for f in (d, a):
+            if f is not None:
+                entry = next((e for e in seen if e[0] is f), None)
+                if entry is None:
+                    entry = (f, to_general(f), {})
+                    seen.append(entry)
+                factors.append(entry[1:])
+        slots.append(factors)
     # A term of grading g after slot i can return to grading 0 only when -g
     # lies in the sum of the later slots' grading ranges.  Each range is
     # widened to hold 0, so every window holds 0 and contains the windows
@@ -119,14 +140,14 @@ def _chain_prefixes(
     windows = [(0, 0)]
     for factors in reversed(slots[1:]):
         lo, hi = windows[-1]
-        for f in factors:
+        for f, _rows in factors:
             gradings = [0, *map(_grading, f.terms)]
             lo, hi = lo + min(gradings), hi + max(gradings)
         windows.append((lo, hi))
     out: GeneralElement | None = None
     for factors, (lo, hi) in zip(slots, reversed(windows)):
-        for f in factors:
-            out = f if out is None else multiply(out, f)
+        for f, rows in factors:
+            out = f if out is None else _times(out, f, rows)
         out = GeneralElement._clean(
             out.graph, {p: c for p, c in out.terms.items() if lo <= -_grading(p) <= hi}
         )
@@ -167,18 +188,24 @@ class _ChainProducts:
     """
 
     def __init__(self) -> None:
-        # Each distinct variable of the call next to its normal-form view.
-        self._variables: list[tuple[Element, GeneralElement]] = []
+        # Each distinct variable of the call, its normal-form view and rows.
+        self._variables: list[tuple[Element, GeneralElement, dict]] = []
+        # pending diagonal -> its normal-form view and rows
+        self._diagonals: dict[frozenset, tuple[GeneralElement, dict]] = {}
+        # (left pair, right pair) -> reduced product, for every factor: the
+        # slots a, a*, b, b* of a scan and the vertex projections of the
+        # recursion share many terms
+        self._forms: dict = {}
         # key -> [chain product, its expectation once a block has asked for it]
         self._products: dict[tuple, list] = {}
         # key -> entries of its cumulant, from the first-block recursion
         self._cumulants: dict[tuple, dict] = {}
 
     def _slot(self, x: Element) -> int:
-        for i, (v, _general) in enumerate(self._variables):
+        for i, (v, _general, _rows) in enumerate(self._variables):
             if v is x:
                 return i
-        self._variables.append((x, to_general(x)))
+        self._variables.append((x, to_general(x), {}))
         return len(self._variables) - 1
 
     def _block_value(self, key: tuple) -> DiagonalElement:
@@ -193,12 +220,18 @@ class _ChainProducts:
                 prefix_key += ((slot, pending),)
                 cached = self._products.get(prefix_key)
                 if cached is None:
-                    general = self._variables[slot][1]
+                    _x, general, rows = self._variables[slot]
                     prefix = None if entry is None else entry[0]
                     if pending is not None:
-                        d = DiagonalElement(general.graph, dict(pending))
-                        prefix = d if prefix is None else multiply(prefix, d)
-                    product = general if prefix is None else multiply(prefix, general)
+                        diagonal = self._diagonals.get(pending)
+                        if diagonal is None:
+                            d = DiagonalElement(general.graph, dict(pending))
+                            diagonal = self._diagonals[pending] = (to_general(d), {})
+                        d, d_rows = diagonal
+                        prefix = d if prefix is None else _times(prefix, d, d_rows, self._forms)
+                    product = general
+                    if prefix is not None:
+                        product = _times(prefix, general, rows, self._forms)
                     cached = self._products[prefix_key] = [product, None]
                 entry = cached
         if entry[1] is None:
@@ -253,6 +286,7 @@ class _ChainProducts:
 
     def kappa(self, variables: Sequence[Element]) -> DiagonalElement:
         """k_n(a1, ..., an) with unit diagonal slots, by the recursion."""
+        _check_slots(variables, None)
         key = tuple((self._slot(x), None) for x in variables)
         return DiagonalElement(_graph_of(variables[0]), self._kappa(key))
 

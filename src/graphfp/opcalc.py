@@ -648,19 +648,36 @@ def _pair_product(p1: Pair, p2: Pair) -> NormalForm:
     return state
 
 
-def multiply(x: Element, y: Element) -> GeneralElement:
-    """Product of two elements, reduced termwise in CK mode."""
-    gx, gy = to_general(x), to_general(y)
+def _times(
+    gx: GeneralElement, gy: GeneralElement, rows: dict, forms: dict | None = None
+) -> GeneralElement:
+    """gx gy, reusing and filling ``rows``: left pair -> its nonzero products
+    (form, coefficient) with the terms of gy, so it is valid for gy only.
+    ``forms``, if given, maps (left pair, right pair) to the reduced product
+    and may serve every factor of a call whose factors share terms."""
     if gx.graph != gy.graph:
         raise DomainError("cannot multiply elements over different graphs")
     acc: dict[Pair, ExactComplex] = {}
     for p1, c1 in gx.terms.items():
-        for p2, c2 in gy.terms.items():
-            form = _pair_product(p1, p2)
-            if form is not ZERO_FORM:
-                prev = acc.get(form)
-                acc[form] = c1 * c2 if prev is None else prev + c1 * c2
+        row = rows.get(p1)
+        if row is None:
+            row = rows[p1] = []
+            for p2, c2 in gy.terms.items():
+                if forms is None:
+                    form = _pair_product(p1, p2)
+                elif (form := forms.get((p1, p2))) is None:
+                    form = forms[p1, p2] = _pair_product(p1, p2)
+                if form is not ZERO_FORM:
+                    row.append((form, c2))
+        for form, c2 in row:
+            prev = acc.get(form)
+            acc[form] = c1 * c2 if prev is None else prev + c1 * c2
     return GeneralElement._clean(gx.graph, {p: c for p, c in acc.items() if c})
+
+
+def multiply(x: Element, y: Element) -> GeneralElement:
+    """Product of two elements, reduced termwise in CK mode."""
+    return _times(to_general(x), to_general(y), {})
 
 
 def expectation(x: Element | NormalForm, graph: Graph | None = None) -> DiagonalElement:

@@ -11,6 +11,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,20 @@ def test_loop_moment_sequence(h, loop_var):
     assert values == [0, 2, 0, 6, 0, 20]
 
 
+def _loop_file():
+    data = Path(__file__).parent / "data"
+    h = load_graph(json.loads((data / "h.json").read_text()))
+    return h, variable_from_json(json.loads((data / "a_loop.json").read_text()), h)
+
+
+def test_long_moment_of_the_loop_file_is_arcsine():
+    # All 32 slots share one factor and so one set of rows: E(a^32) is the
+    # arcsine moment C(32, 16) at v1.
+    h, a = _loop_file()
+    assert moment([a] * 32) == _diag(h, {"v1": comb(32, 16)})
+    assert comb(32, 16) == 601080390
+
+
 def test_moment_rejects_bad_slots(h, loop_var):
     with pytest.raises(DomainError):
         moment([])
@@ -164,18 +179,34 @@ def _slot_products(draw):
             (x.adjoint(), [((v, w, s != bool(w)), (re, -im)) for (v, w, s), (re, im) in t])
             for x, t in pool
         ]
+    # Equal but distinct copies: a chain finds its factors by identity, so a
+    # copy gets its own rows, which must agree with the original's.
+    for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=2)):
+        x, terms = pool[k]
+        pool.append((RandomVariable(g, dict(x.terms)), terms))
     variables, diagonals, factors = [], [], []
+    drawn: list[DiagonalElement] = []
     for k in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=5)):
-        n = len(g.vertices)
-        entries = draw(st.one_of(st.none(), st.lists(_RATIONALS, min_size=n, max_size=n)))
         x, terms = pool[k]
         variables.append(x)
-        if entries is None:
+        # A diagonal slot is the unit, a new diagonal, or an earlier one
+        # again, as the same object or as an equal copy.
+        kind = draw(st.sampled_from(("unit", "new", "same", "copy") if drawn else ("unit", "new")))
+        if kind == "unit":
             diagonals.append(None)
+            factors.append(terms)
+            continue
+        if kind == "new":
+            n = len(g.vertices)
+            entries = draw(st.lists(_RATIONALS, min_size=n, max_size=n))
+            d = _diag(g, dict(zip(sorted(g.vertices), entries)))
+            drawn.append(d)
         else:
-            d = dict(zip(sorted(g.vertices), entries))
-            diagonals.append(_diag(g, d))
-            factors.append([((v, (), False), (c, Fraction(0))) for v, c in d.items()])
+            d = draw(st.sampled_from(drawn))
+            if kind == "copy":
+                d = _diag(g, dict(d.entries))
+        diagonals.append(d)
+        factors.append([((v, (), False), (c.re, c.im)) for v, c in d.entries.items()])
         factors.append(terms)
     return variables, diagonals, factors
 
@@ -445,14 +476,19 @@ def test_cumulant_of_the_mirrored_slots_is_the_adjoint(g, n, rng):
 
 
 def test_trivial_cumulants_of_the_loop_file_are_arcsine():
-    data = Path(__file__).parent / "data"
-    h = load_graph(json.loads((data / "h.json").read_text()))
-    a = variable_from_json(json.loads((data / "a_loop.json").read_text()), h)
+    h, a = _loop_file()
     # k_2m = (-1)^(m-1) 2 C_(m-1) at v1, odd cumulants 0.
     want = [0 if n % 2 else (-1) ** (n // 2 - 1) * 2 * catalan(n // 2 - 1) for n in range(2, 9)]
     got = [trivial_cumulant(a, n) for n in range(2, 9)]
     assert got == [_diag(h, {"v1": k}) for k in want]
     assert want == [2, 0, -2, 0, 4, 0, -10]
+
+
+def test_trivial_cumulant_needs_a_positive_order():
+    _h, a = _loop_file()
+    for n in (0, -1):
+        with pytest.raises(DomainError, match="at least one variable slot"):
+            trivial_cumulant(a, n)
 
 
 @settings(max_examples=40, deadline=None)
@@ -463,6 +499,27 @@ def test_freeness_scan_matches_the_uncached_brute_scan(g, rng):
     ok, witness = mixed_cumulants_vanish(a, b, 4)
     found = None if witness is None else (witness.order, witness.pattern, witness.value)
     assert (ok, found) == freeness_scan_by_brute_force(a, b, 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(branching_graphs(), st.randoms(use_true_random=False))
+def test_freeness_at_unit_slots_survives_vertex_projection_insertions(g, rng):
+    # Freeness over D asks mixed cumulants to vanish with diagonal arguments
+    # between the slots too, but the scan puts units there.  By the bimodule
+    # property a projection in front of slot 1 only multiplies the value, so
+    # slots 2..n take every choice of single vertex projections.
+    a, b = _random_slot_variable(g, rng, 2), _random_slot_variable(g, rng, 2)
+    if not mixed_cumulants_vanish(a, b, 3)[0]:
+        return
+    slots = (a, a.adjoint(), b, b.adjoint())
+    projections = [_diag(g, {v: 1}) for v in sorted(g.vertices)]
+    for n in (2, 3):
+        for pattern in product(range(4), repeat=n):
+            if {i >> 1 for i in pattern} != {0, 1}:
+                continue
+            for inserted in product(projections, repeat=n - 1):
+                value = uncached_cumulant([slots[i] for i in pattern], [None, *inserted])
+                assert value.is_zero(), (pattern, inserted, value)
 
 
 def test_cumulant_is_a_diagonal_bimodule_map(h):
