@@ -38,12 +38,8 @@ A chain step is a linear map on the span of normal forms, prefix -> prefix f.
 Its row for a left pair p lists the nonzero reductions of p q, one per term
 q of f, with the coefficient of q.  A moment chain keeps one dict of rows per
 distinct factor, found by identity, and the table one per slot and one per
-pending diagonal.  A row is valid for its own factor only.  The factors of a
-table share many terms, so the table also shares the reductions its rows are
-built from, and reduces each pair of normal forms at most once per call; a
-moment chain does not, since a dict of pairs costs more than it saves where
-the forms hardly repeat.  A repeated step only multiplies coefficients and
-adds, and the rows go when the call returns.
+pending diagonal.  A row is valid for its own factor only.  A repeated step
+only multiplies coefficients and adds, and the rows go when the call returns.
 """
 
 from __future__ import annotations
@@ -192,10 +188,6 @@ class _ChainProducts:
         self._variables: list[tuple[Element, GeneralElement, dict]] = []
         # pending diagonal -> its normal-form view and rows
         self._diagonals: dict[frozenset, tuple[GeneralElement, dict]] = {}
-        # (left pair, right pair) -> reduced product, for every factor: the
-        # slots a, a*, b, b* of a scan and the vertex projections of the
-        # recursion share many terms
-        self._forms: dict = {}
         # key -> [chain product, its expectation once a block has asked for it]
         self._products: dict[tuple, list] = {}
         # key -> entries of its cumulant, from the first-block recursion
@@ -228,10 +220,10 @@ class _ChainProducts:
                             d = DiagonalElement(general.graph, dict(pending))
                             diagonal = self._diagonals[pending] = (to_general(d), {})
                         d, d_rows = diagonal
-                        prefix = d if prefix is None else _times(prefix, d, d_rows, self._forms)
+                        prefix = d if prefix is None else _times(prefix, d, d_rows)
                     product = general
                     if prefix is not None:
-                        product = _times(prefix, general, rows, self._forms)
+                        product = _times(prefix, general, rows)
                     cached = self._products[prefix_key] = [product, None]
                 entry = cached
         if entry[1] is None:

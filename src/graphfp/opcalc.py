@@ -648,13 +648,9 @@ def _pair_product(p1: Pair, p2: Pair) -> NormalForm:
     return state
 
 
-def _times(
-    gx: GeneralElement, gy: GeneralElement, rows: dict, forms: dict | None = None
-) -> GeneralElement:
+def _times(gx: GeneralElement, gy: GeneralElement, rows: dict) -> GeneralElement:
     """gx gy, reusing and filling ``rows``: left pair -> its nonzero products
-    (form, coefficient) with the terms of gy, so it is valid for gy only.
-    ``forms``, if given, maps (left pair, right pair) to the reduced product
-    and may serve every factor of a call whose factors share terms."""
+    (form, coefficient) with the terms of gy, so it is valid for gy only."""
     if gx.graph != gy.graph:
         raise DomainError("cannot multiply elements over different graphs")
     acc: dict[Pair, ExactComplex] = {}
@@ -663,10 +659,7 @@ def _times(
         if row is None:
             row = rows[p1] = []
             for p2, c2 in gy.terms.items():
-                if forms is None:
-                    form = _pair_product(p1, p2)
-                elif (form := forms.get((p1, p2))) is None:
-                    form = forms[p1, p2] = _pair_product(p1, p2)
+                form = _pair_product(p1, p2)
                 if form is not ZERO_FORM:
                     row.append((form, c2))
         for form, c2 in row:
