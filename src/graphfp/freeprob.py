@@ -40,6 +40,18 @@ q of f, with the coefficient of q.  A moment chain keeps one dict of rows per
 distinct factor, found by identity, and the table one per slot and one per
 pending diagonal.  A row is valid for its own factor only.  A repeated step
 only multiplies coefficients and adds, and the rows go when the call returns.
+A moment chain groups its rows by the grading of the left pair: once the
+window has left a grading, no later prefix holds a form of it, so the chain
+deletes that grading's rows after each slot.
+
+The table numbers each normal form the first time the call meets it, and
+holds every factor, pending diagonal and prefix product as a dict from form
+id to a Gaussian integer (re, im) over one positive denominator.  A factor's
+denominator is the lcm of its coefficients' denominators, and a product's is
+the product of its factors', so a step multiplies and adds Python ints with
+no gcd and hashes no ``Pair``.  A block value divides once, when it takes the
+expectation.  Rows map a left form id to (form id, numerator) entries, and
+the numbering goes when the call returns.
 """
 
 from __future__ import annotations
@@ -60,6 +72,7 @@ from .opcalc import (
     Monomial,
     Pair,
     RandomVariable,
+    _FormIds,
     _times,
     expectation,
     reduce_monomial,
@@ -147,6 +160,11 @@ def _chain_prefixes(
         out = GeneralElement._clean(
             out.graph, {p: c for p, c in out.terms.items() if lo <= -_grading(p) <= hi}
         )
+        # The windows nest, so no later prefix holds a form of a grading
+        # outside this one, and the rows of such left pairs are dead.
+        for _f, _general, rows in seen:
+            for grading in [g for g in rows if not lo <= -g <= hi]:
+                del rows[grading]
         yield out
 
 
@@ -184,20 +202,22 @@ class _ChainProducts:
     """
 
     def __init__(self) -> None:
-        # Each distinct variable of the call, its normal-form view and rows.
-        self._variables: list[tuple[Element, GeneralElement, dict]] = []
-        # pending diagonal -> its normal-form view and rows
-        self._diagonals: dict[frozenset, tuple[GeneralElement, dict]] = {}
-        # key -> [chain product, its expectation once a block has asked for it]
+        self._forms = _FormIds()
+        # Each distinct variable of the call, its numerators, denominator and rows.
+        self._variables: list[tuple[Element, dict, int, dict]] = []
+        # pending diagonal -> its numerators, denominator and rows
+        self._diagonals: dict[frozenset, tuple[dict, int, dict]] = {}
+        # key -> [numerators of the chain product, its denominator, its
+        # expectation once a block has asked for it]
         self._products: dict[tuple, list] = {}
         # key -> entries of its cumulant, from the first-block recursion
         self._cumulants: dict[tuple, dict] = {}
 
     def _slot(self, x: Element) -> int:
-        for i, (v, _general, _rows) in enumerate(self._variables):
+        for i, (v, _terms, _den, _rows) in enumerate(self._variables):
             if v is x:
                 return i
-        self._variables.append((x, to_general(x), {}))
+        self._variables.append((x, *self._forms.factor(to_general(x)), {}))
         return len(self._variables) - 1
 
     def _block_value(self, key: tuple) -> DiagonalElement:
@@ -205,6 +225,7 @@ class _ChainProducts:
         or extends the previous prefix by one slot, and the expectation is
         stored next to the product of the whole block.  The table cannot tell
         which slots will extend a prefix, so it keeps every term."""
+        forms = self._forms
         entry = self._products.get(key)
         if entry is None:
             prefix_key: tuple = ()
@@ -212,23 +233,22 @@ class _ChainProducts:
                 prefix_key += ((slot, pending),)
                 cached = self._products.get(prefix_key)
                 if cached is None:
-                    _x, general, rows = self._variables[slot]
-                    prefix = None if entry is None else entry[0]
+                    factors = [self._variables[slot][1:]]
                     if pending is not None:
                         diagonal = self._diagonals.get(pending)
                         if diagonal is None:
-                            d = DiagonalElement(general.graph, dict(pending))
-                            diagonal = self._diagonals[pending] = (to_general(d), {})
-                        d, d_rows = diagonal
-                        prefix = d if prefix is None else _times(prefix, d, d_rows)
-                    product = general
-                    if prefix is not None:
-                        product = _times(prefix, general, rows)
-                    cached = self._products[prefix_key] = [product, None]
+                            d = to_general(DiagonalElement(forms.graph, dict(pending)))
+                            diagonal = self._diagonals[pending] = (*forms.factor(d), {})
+                        factors.insert(0, diagonal)
+                    terms, den = (None, 1) if entry is None else entry[:2]
+                    for f_terms, f_den, rows in factors:
+                        terms = f_terms if terms is None else forms.times(terms, f_terms, rows)
+                        den *= f_den
+                    cached = self._products[prefix_key] = [terms, den, None]
                 entry = cached
-        if entry[1] is None:
-            entry[1] = expectation(entry[0])
-        return entry[1]
+        if entry[2] is None:
+            entry[2] = forms.expectation(entry[0], entry[1])
+        return entry[2]
 
     def _kappa(self, key: tuple) -> dict:
         """Entries of the cumulant of a key, by the first-block recursion."""

@@ -36,7 +36,15 @@ from .graph import (
     vertex_word,
     word_tokens,
 )
-from .scalars import ONE, ExactComplex, scalar_from_json, scalar_to_json
+from .scalars import (
+    ONE,
+    ExactComplex,
+    _common_denominator,
+    _gaussian_numerator,
+    _gaussian_quotient,
+    scalar_from_json,
+    scalar_to_json,
+)
 
 __all__ = [
     "CK",
@@ -648,16 +656,93 @@ def _pair_product(p1: Pair, p2: Pair) -> NormalForm:
     return state
 
 
+class _FormIds:
+    """The normal forms of one call, numbered in the order they are first met.
+
+    A factor is held as Gaussian-integer numerators keyed by form id over one
+    positive denominator, the lcm of its coefficients' denominators, so a
+    step multiplies and adds Python ints and hashes no ``Pair``.  Every
+    factor must live over the graph of the first one.
+    """
+
+    __slots__ = ("graph", "ids", "forms", "vertices")
+
+    def __init__(self) -> None:
+        self.graph: Graph | None = None
+        self.ids: dict[Pair, int] = {}
+        self.forms: list[Pair] = []
+        # form id -> its vertex when the form is a vertex pair, else None
+        self.vertices: list[str | None] = []
+
+    def _id(self, pair: Pair) -> int:
+        i = self.ids.get(pair)
+        if i is None:
+            i = self.ids[pair] = len(self.forms)
+            self.forms.append(pair)
+            self.vertices.append(pair.alpha.vertex if pair.is_vertex_pair else None)
+        return i
+
+    def factor(self, x: GeneralElement) -> tuple[dict[int, tuple[int, int]], int]:
+        """x as (numerators by form id, denominator)."""
+        if self.graph is None:
+            self.graph = x.graph
+        elif x.graph != self.graph:
+            raise DomainError("cannot multiply elements over different graphs")
+        den = _common_denominator(x.terms.values())
+        return {self._id(p): _gaussian_numerator(c, den) for p, c in x.terms.items()}, den
+
+    def times(self, prefix: dict, factor: dict, rows: dict) -> dict:
+        """The numerators of prefix times factor, reusing and filling ``rows``:
+        left form id -> the nonzero products (form id, numerator) with the
+        terms of factor, so it is valid for that factor only."""
+        forms = self.forms
+        acc: dict[int, tuple[int, int]] = {}
+        for i, (a, b) in prefix.items():
+            row = rows.get(i)
+            if row is None:
+                row = rows[i] = []
+                p1 = forms[i]
+                for j, c2 in factor.items():
+                    form = _pair_product(p1, forms[j])
+                    if form is not ZERO_FORM:
+                        row.append((self._id(form), c2))
+            for k, (c, d) in row:
+                prev = acc.get(k)
+                if prev is None:
+                    acc[k] = (a * c - b * d, a * d + b * c)
+                else:
+                    acc[k] = (prev[0] + a * c - b * d, prev[1] + a * d + b * c)
+        return {k: z for k, z in acc.items() if z[0] or z[1]}
+
+    def expectation(self, terms: dict, den: int) -> DiagonalElement:
+        """E of the element with these numerators over ``den``."""
+        vertices = self.vertices
+        return DiagonalElement(
+            self.graph,
+            {
+                vertices[k]: _gaussian_quotient(re, im, den)
+                for k, (re, im) in terms.items()
+                if vertices[k] is not None
+            },
+        )
+
+
 def _times(gx: GeneralElement, gy: GeneralElement, rows: dict) -> GeneralElement:
-    """gx gy, reusing and filling ``rows``: left pair -> its nonzero products
-    (form, coefficient) with the terms of gy, so it is valid for gy only."""
+    """gx gy, reusing and filling ``rows``: grading of a left pair -> left
+    pair -> its nonzero products (form, coefficient) with the terms of gy, so
+    it is valid for gy only.  Rows are grouped by grading so that a moment
+    chain drops all rows of a grading its window has left in one deletion."""
     if gx.graph != gy.graph:
         raise DomainError("cannot multiply elements over different graphs")
     acc: dict[Pair, ExactComplex] = {}
     for p1, c1 in gx.terms.items():
-        row = rows.get(p1)
+        grading = len(p1.alpha.edges) - len(p1.beta.edges)
+        bucket = rows.get(grading)
+        if bucket is None:
+            bucket = rows[grading] = {}
+        row = bucket.get(p1)
         if row is None:
-            row = rows[p1] = []
+            row = bucket[p1] = []
             for p2, c2 in gy.terms.items():
                 form = _pair_product(p1, p2)
                 if form is not ZERO_FORM:

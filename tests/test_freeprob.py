@@ -463,6 +463,71 @@ def test_first_block_recursion_matches_the_partition_sums(g, n, rng):
     assert trivial == cumulant([variables[0]] * n).value
 
 
+# The primes between 999,000 and 10**6: coefficients whose parts take
+# distinct ones have large, pairwise coprime denominators.
+_LARGE_PRIMES = [p for p in range(999_001, 10**6, 2) if all(p % d for d in range(3, 1000, 2))]
+
+
+def _large_rational(rng, primes) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), primes.pop())
+
+
+def _large_denominator_variable(g, rng, primes) -> RandomVariable:
+    # Vertex terms and loops, plus the adjoint half the time, as in
+    # _random_slot_variable, keep many cumulants nonzero.  Every coefficient
+    # is complex with two fresh prime denominators.
+    words = [w for w in enumerate_paths(g, 2) if w.is_vertex or w.is_loop]
+    items = []
+    for _ in range(rng.randint(1, 3)):
+        c = ExactComplex(_large_rational(rng, primes), _large_rational(rng, primes))
+        items.append(((rng.choice(words), rng.random() < 0.5), c))
+    a = RandomVariable(g, items)
+    return a + a.adjoint() if rng.random() < 0.5 else a
+
+
+@settings(max_examples=60, deadline=None)
+@given(branching_graphs(), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_large_coprime_denominators_match_the_oracles(g, n, rng):
+    # The table clears each factor's denominators once and divides once per
+    # block value; the oracles multiply Fractions throughout.
+    primes = rng.sample(_LARGE_PRIMES, len(_LARGE_PRIMES))
+    pool = [_large_denominator_variable(g, rng, primes) for _ in range(2)]
+    variables = [rng.choice(pool) for _ in range(n)]
+    diagonals = [
+        _diag(g, {
+            v: ExactComplex(_large_rational(rng, primes), _large_rational(rng, primes))
+            for v in g.vertices
+        })
+        if rng.random() < 0.5 else None
+        for _ in range(n)
+    ]
+    assert cumulant(variables, diagonals).value == uncached_cumulant(variables, diagonals)
+    assert trivial_cumulant(variables[0], n) == uncached_cumulant([variables[0]] * n)
+    items = list(zip(diagonals, variables))
+    p = rng.choice(enumerate_nc(n))
+    assert partition_moment(p, items) == partition_moment_by_interval_search(p, items)
+
+
+def test_cancelling_products_store_no_zero_entry(h):
+    # E(x y) = -L[v1] + L[v1]: the two vertex terms cancel exactly.
+    x = _var(_c(h, "e1", "e2")) + _var(_a(h, "e1", "e2"))
+    y = _var(_c(h, "e1", "e2")) + _var(_a(h, "e1", "e2")).scale(-1)
+    assert moment([x, y]).entries == {}
+    assert cumulant([x, y]).value.entries == {}
+
+
+def test_products_reject_variables_over_different_graphs(h, fork):
+    x = _var(_c(h, "e1"))
+    y = _var(_c(fork, "p"))
+    with pytest.raises(DomainError):
+        cumulant([x, y])
+    with pytest.raises(DomainError):
+        moment([x, y])
+    for p in enumerate_nc(2):
+        with pytest.raises(DomainError):
+            partition_moment(p, [(None, x), (None, y)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(branching_graphs(), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_cumulant_of_the_mirrored_slots_is_the_adjoint(g, n, rng):
