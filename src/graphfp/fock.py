@@ -45,6 +45,10 @@ __all__ = [
     "cross_check_reduction",
 ]
 
+# verify_relations checks the letter relations of every path word up to this
+# length (and shorter than the truncation).
+_RELATION_WORD_LEN = 3
+
 
 @dataclass
 class TruncatedBasis:
@@ -159,7 +163,7 @@ def _transpose(image: dict[int, int]) -> dict[int, int]:
     return {row: col for col, row in image.items()}
 
 
-def verify_relations(graph: Graph, max_len: int, word_len: int = 3) -> list[dict]:
+def verify_relations(graph: Graph, max_len: int) -> list[dict]:
     """Check the representation relations on interior columns.
 
     Returns one report per relation instance with keys ``relation``,
@@ -196,7 +200,7 @@ def verify_relations(graph: Graph, max_len: int, word_len: int = 3) -> list[dict
 
     paths = [
         w
-        for w in enumerate_paths(graph, min(word_len, max_len - 1))
+        for w in enumerate_paths(graph, min(_RELATION_WORD_LEN, max_len - 1))
         if not w.is_vertex
     ]
     for w in paths:

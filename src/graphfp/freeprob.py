@@ -44,12 +44,11 @@ A moment chain groups its rows by the grading of the left pair: once the
 window has left a grading, no later prefix holds a form of it, so the chain
 deletes that grading's rows after each slot.
 
-The table numbers each normal form the first time the call meets it, and
-holds every factor, pending diagonal and prefix product as a dict from form
-id to a Gaussian integer (re, im) over one positive denominator.  A factor's
-denominator is the lcm of its coefficients' denominators, and a product's is
-the product of its factors', so a step multiplies and adds Python ints with
-no gcd and hashes no ``Pair``.  A block value divides once, when it takes the
+The table holds every factor, pending diagonal and prefix product as a
+value of ``opcalc._FormIds``, which numbers each normal form the first time
+the call meets it and alone knows how a value stores its exact coefficients:
+Python-int numerators over one denominator, so a step takes no gcd and
+hashes no ``Pair``.  A block value divides once, when it takes the
 expectation.  Rows map a left form id to (form id, numerator) entries, and
 the numbering goes when the call returns.
 """
@@ -203,21 +202,21 @@ class _ChainProducts:
 
     def __init__(self) -> None:
         self._forms = _FormIds()
-        # Each distinct variable of the call, its numerators, denominator and rows.
-        self._variables: list[tuple[Element, dict, int, dict]] = []
-        # pending diagonal -> its numerators, denominator and rows
-        self._diagonals: dict[frozenset, tuple[dict, int, dict]] = {}
-        # key -> [numerators of the chain product, its denominator, its
-        # expectation once a block has asked for it]
+        # Each distinct variable of the call, its form-id value and rows.
+        self._variables: list[tuple[Element, tuple, dict]] = []
+        # pending diagonal -> its form-id value and rows
+        self._diagonals: dict[frozenset, tuple[tuple, dict]] = {}
+        # key -> [form-id value of the chain product, its expectation once a
+        # block has asked for it]
         self._products: dict[tuple, list] = {}
         # key -> entries of its cumulant, from the first-block recursion
         self._cumulants: dict[tuple, dict] = {}
 
     def _slot(self, x: Element) -> int:
-        for i, (v, _terms, _den, _rows) in enumerate(self._variables):
+        for i, (v, _value, _rows) in enumerate(self._variables):
             if v is x:
                 return i
-        self._variables.append((x, *self._forms.factor(to_general(x)), {}))
+        self._variables.append((x, self._forms.factor(to_general(x)), {}))
         return len(self._variables) - 1
 
     def _block_value(self, key: tuple) -> DiagonalElement:
@@ -238,17 +237,16 @@ class _ChainProducts:
                         diagonal = self._diagonals.get(pending)
                         if diagonal is None:
                             d = to_general(DiagonalElement(forms.graph, dict(pending)))
-                            diagonal = self._diagonals[pending] = (*forms.factor(d), {})
+                            diagonal = self._diagonals[pending] = (forms.factor(d), {})
                         factors.insert(0, diagonal)
-                    terms, den = (None, 1) if entry is None else entry[:2]
-                    for f_terms, f_den, rows in factors:
-                        terms = f_terms if terms is None else forms.times(terms, f_terms, rows)
-                        den *= f_den
-                    cached = self._products[prefix_key] = [terms, den, None]
+                    value = None if entry is None else entry[0]
+                    for f, rows in factors:
+                        value = f if value is None else forms.times(value, f, rows)
+                    cached = self._products[prefix_key] = [value, None]
                 entry = cached
-        if entry[2] is None:
-            entry[2] = forms.expectation(entry[0], entry[1])
-        return entry[2]
+        if entry[1] is None:
+            entry[1] = forms.expectation(entry[0])
+        return entry[1]
 
     def _kappa(self, key: tuple) -> dict:
         """Entries of the cumulant of a key, by the first-block recursion."""
@@ -391,10 +389,12 @@ def connectivity_multiplier(
     if not letters:
         raise DomainError("need at least one letter")
     n = len(letters)
+    table = _ChainProducts()
+    items = [(None, letter) for letter in letters]
     weight = 0
     connected = []
     for p, mu in zip(enumerate_nc(n), top_weights(n)):
-        if is_partition_connected(p, letters):
+        if not table.partition_moment(p, items).is_zero():
             weight += mu
             connected.append(p)
     return weight, connected

@@ -25,7 +25,6 @@ __all__ = [
     "make_word",
     "word_tokens",
     "concat",
-    "loop_power",
     "enumerate_paths",
     "primitive_root",
     "diagram",
@@ -73,9 +72,6 @@ class Graph:
             out[e.src].append(e)
         object.__setattr__(self, "_edge_map", edge_map)
         object.__setattr__(self, "_out", out)
-
-    def has_vertex(self, v: str) -> bool:
-        return v in self._out
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -224,18 +220,6 @@ def concat(w1: PathWord, w2: PathWord) -> PathWord | None:
     object.__setattr__(word, "vertex", None)
     object.__setattr__(word, "edges", w1.edges + w2.edges)
     return word
-
-
-def loop_power(word: PathWord, k: int) -> PathWord:
-    """The k-th concatenation power of a loop (k >= 1)."""
-    if k < 1:
-        raise DomainError(f"loop power must be >= 1, got {k}")
-    if k > 1 and not word.is_loop:
-        raise DomainError("only loops have concatenation powers above 1")
-    out = word
-    for _ in range(k - 1):
-        out = concat(out, word)  # never None for a loop
-    return out
 
 
 def enumerate_paths(graph: Graph, max_len: int) -> list[PathWord]:

@@ -76,7 +76,8 @@ class NoncrossingPartition:
         return False
 
     def block_index(self) -> dict[int, int]:
-        return _block_index(self)
+        """Each element -> the position of its block in ``blocks``."""
+        return {x: i for i, b in enumerate(self.blocks) for x in b}
 
     @classmethod
     def bottom(cls, n: int) -> "NoncrossingPartition":
@@ -85,18 +86,6 @@ class NoncrossingPartition:
     @classmethod
     def top(cls, n: int) -> "NoncrossingPartition":
         return cls(n, (tuple(range(1, n + 1)),))
-
-    def __str__(self) -> str:
-        return "/".join("".join(f"{x}," for x in b).rstrip(",") for b in self.blocks)
-
-
-@lru_cache(maxsize=None)
-def _block_index(p: NoncrossingPartition) -> dict[int, int]:
-    owner: dict[int, int] = {}
-    for i, b in enumerate(p.blocks):
-        for x in b:
-            owner[x] = i
-    return owner
 
 
 def leq(p: NoncrossingPartition, q: NoncrossingPartition) -> bool:

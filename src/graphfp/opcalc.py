@@ -21,7 +21,9 @@ moment and cumulant machinery downstream evaluates it in ``"ck"`` mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import DomainError, FormatError
@@ -36,15 +38,7 @@ from .graph import (
     vertex_word,
     word_tokens,
 )
-from .scalars import (
-    ONE,
-    ExactComplex,
-    _common_denominator,
-    _gaussian_numerator,
-    _gaussian_quotient,
-    scalar_from_json,
-    scalar_to_json,
-)
+from .scalars import ONE, ExactComplex, scalar_from_json, scalar_to_json
 
 __all__ = [
     "CK",
@@ -53,14 +47,12 @@ __all__ = [
     "creation",
     "annihilation",
     "Monomial",
-    "adjoint_monomial",
     "Zero",
     "ZERO_FORM",
     "Pair",
     "NormalForm",
     "reduce_monomial",
     "ck_collapse",
-    "pair_letters",
     "parse_letters",
     "LatticePath",
     "lattice_path",
@@ -125,22 +117,12 @@ class Monomial:
             raise DomainError("all letters of a monomial must share one graph")
 
     @property
-    def length(self) -> int:
-        return len(self.letters)
-
-    @property
     def graph(self) -> Graph | None:
         return self.letters[0].word.graph if self.letters else None
 
     def creation_weight(self) -> int:
         """Total edge length created along the product (truncation margin)."""
         return sum(l.word.length for l in self.letters if not l.star)
-
-
-def adjoint_monomial(m: Monomial) -> Monomial:
-    return Monomial(
-        tuple(l.adjoint for l in reversed(m.letters)), m.coefficient.conjugate()
-    )
 
 
 @dataclass(frozen=True)
@@ -274,14 +256,6 @@ def reduce_monomial(m: Monomial, mode: str = CK) -> NormalForm:
     return state
 
 
-def pair_letters(form: Pair) -> tuple[GeneratorLetter, ...]:
-    """Letters whose product reduces back to the given pair."""
-    letters = [creation(form.alpha)]
-    if not form.beta.is_vertex:
-        letters.append(annihilation(form.beta))
-    return tuple(letters)
-
-
 def parse_letters(graph: Graph, text: str) -> tuple[GeneratorLetter, ...]:
     """Parse a word expression: whitespace-separated identifiers, each
     optionally suffixed with ``*`` for annihilation.  A vertex id denotes
@@ -388,9 +362,6 @@ class DiagonalElement:
             and self.entries == other.entries
         )
 
-    def __hash__(self):
-        raise TypeError("DiagonalElement is not hashable")
-
     def __add__(self, other: "DiagonalElement") -> "DiagonalElement":
         merged = dict(self.entries)
         for v, c in other.entries.items():
@@ -480,9 +451,6 @@ class RandomVariable:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("RandomVariable is not hashable")
-
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.graph != other.graph:
             raise DomainError("cannot add variables over different graphs")
@@ -506,9 +474,6 @@ class RandomVariable:
         return self == self.adjoint()
 
     # -- support partitions ------------------------------------------------
-
-    def support(self) -> set[PathWord]:
-        return {w for (w, _s) in self.terms}
 
     def path_support(self) -> set[PathWord]:
         return {w for (w, _s) in self.terms if not w.is_vertex}
@@ -589,19 +554,12 @@ class GeneralElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        raise TypeError("GeneralElement is not hashable")
-
     def __add__(self, other: "GeneralElement") -> "GeneralElement":
         if self.graph != other.graph:
             raise DomainError("cannot add elements over different graphs")
         return GeneralElement(
             self.graph, list(self.terms.items()) + list(other.terms.items())
         )
-
-    def scale(self, c) -> "GeneralElement":
-        c = ExactComplex.of(c)
-        return GeneralElement(self.graph, {k: c * v for k, v in self.terms.items()})
 
     def __repr__(self) -> str:
         bits = [f"({c})·{p}" for p, c in self.terms.items()]
@@ -659,10 +617,12 @@ def _pair_product(p1: Pair, p2: Pair) -> NormalForm:
 class _FormIds:
     """The normal forms of one call, numbered in the order they are first met.
 
-    A factor is held as Gaussian-integer numerators keyed by form id over one
-    positive denominator, the lcm of its coefficients' denominators, so a
-    step multiplies and adds Python ints and hashes no ``Pair``.  Every
-    factor must live over the graph of the first one.
+    A value is a pair (numerators, denominator): Gaussian-integer numerators
+    (re, im) keyed by form id over one positive denominator.  A factor's
+    denominator is the lcm of its coefficients' denominators and a product's
+    is the product of its factors', so a step multiplies and adds Python ints
+    with no gcd and hashes no ``Pair``; a value divides once, in
+    ``expectation``.  Every factor must live over the graph of the first one.
     """
 
     __slots__ = ("graph", "ids", "forms", "vertices")
@@ -683,18 +643,25 @@ class _FormIds:
         return i
 
     def factor(self, x: GeneralElement) -> tuple[dict[int, tuple[int, int]], int]:
-        """x as (numerators by form id, denominator)."""
+        """x as a value."""
         if self.graph is None:
             self.graph = x.graph
         elif x.graph != self.graph:
             raise DomainError("cannot multiply elements over different graphs")
-        den = _common_denominator(x.terms.values())
-        return {self._id(p): _gaussian_numerator(c, den) for p, c in x.terms.items()}, den
+        den = math.lcm(*(q.denominator for c in x.terms.values() for q in (c.re, c.im)))
+        return {
+            self._id(p): (
+                c.re.numerator * (den // c.re.denominator),
+                c.im.numerator * (den // c.im.denominator),
+            )
+            for p, c in x.terms.items()
+        }, den
 
-    def times(self, prefix: dict, factor: dict, rows: dict) -> dict:
-        """The numerators of prefix times factor, reusing and filling ``rows``:
-        left form id -> the nonzero products (form id, numerator) with the
-        terms of factor, so it is valid for that factor only."""
+    def times(self, x: tuple, y: tuple, rows: dict) -> tuple:
+        """The value x y, reusing and filling ``rows``: left form id -> the
+        nonzero products (form id, numerator) with the terms of y, so it is
+        valid for y only."""
+        (prefix, den), (factor, factor_den) = x, y
         forms = self.forms
         acc: dict[int, tuple[int, int]] = {}
         for i, (a, b) in prefix.items():
@@ -712,15 +679,16 @@ class _FormIds:
                     acc[k] = (a * c - b * d, a * d + b * c)
                 else:
                     acc[k] = (prev[0] + a * c - b * d, prev[1] + a * d + b * c)
-        return {k: z for k, z in acc.items() if z[0] or z[1]}
+        return {k: z for k, z in acc.items() if z[0] or z[1]}, den * factor_den
 
-    def expectation(self, terms: dict, den: int) -> DiagonalElement:
-        """E of the element with these numerators over ``den``."""
+    def expectation(self, x: tuple) -> DiagonalElement:
+        """E of the value x."""
+        terms, den = x
         vertices = self.vertices
         return DiagonalElement(
             self.graph,
             {
-                vertices[k]: _gaussian_quotient(re, im, den)
+                vertices[k]: ExactComplex(Fraction(re, den), Fraction(im, den))
                 for k, (re, im) in terms.items()
                 if vertices[k] is not None
             },

@@ -120,30 +120,6 @@ def _exact(re: Fraction, im: Fraction) -> ExactComplex:
     return z
 
 
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of the real and imaginary parts."""
-    den = 1
-    for z in values:
-        for q in (z.re.denominator, z.im.denominator):
-            if den % q:
-                # Fraction(den, q) has denominator q / gcd(den, q).
-                den *= Fraction(den, q).denominator
-    return den
-
-
-def _gaussian_numerator(z: ExactComplex, den: int) -> tuple[int, int]:
-    """(re, im) of z * den, for den a common denominator of z's parts."""
-    return (
-        z.re.numerator * (den // z.re.denominator),
-        z.im.numerator * (den // z.im.denominator),
-    )
-
-
-def _gaussian_quotient(re: int, im: int, den: int) -> ExactComplex:
-    """(re + i im) / den, reduced."""
-    return _exact(Fraction(re, den), Fraction(im, den))
-
-
 ZERO = ExactComplex(Fraction(0), Fraction(0))
 ONE = ExactComplex(Fraction(1), Fraction(0))
 I = ExactComplex(Fraction(0), Fraction(1))

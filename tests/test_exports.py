@@ -1,0 +1,32 @@
+"""The package's public surface: every exported name resolves, and helpers
+that only the tests use live in util, not in the package."""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import graphfp
+
+MODULES = [graphfp] + [
+    importlib.import_module(f"graphfp.{info.name}")
+    for info in pkgutil.iter_modules(graphfp.__path__)
+]
+
+TEST_ONLY_HELPERS = ("adjoint_monomial", "loop_power", "pair_letters")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    names = getattr(module, "__all__", [])
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_test_only_helpers_are_not_exported(module):
+    for name in TEST_ONLY_HELPERS:
+        assert name not in getattr(module, "__all__", ())
+        assert not hasattr(module, name)

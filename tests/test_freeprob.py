@@ -49,6 +49,7 @@ from graphfp import (
     vertex_word,
 )
 from graphfp.freeprob import _ChainProducts, _chain_prefixes
+from graphfp.opcalc import _FormIds
 
 from util import (
     branching_graphs,
@@ -506,6 +507,34 @@ def test_large_coprime_denominators_match_the_oracles(g, n, rng):
     items = list(zip(diagonals, variables))
     p = rng.choice(enumerate_nc(n))
     assert partition_moment(p, items) == partition_moment_by_interval_search(p, items)
+
+
+@settings(max_examples=80, deadline=None)
+@given(branching_graphs(), st.randoms(use_true_random=False))
+def test_form_id_values_match_the_element_algebra(g, rng):
+    # A form-id value clears its denominators once and divides once, in its
+    # expectation; multiply and expectation keep Fractions throughout.  Each
+    # coefficient's parts have two fresh large prime denominators.
+    primes = rng.sample(_LARGE_PRIMES, len(_LARGE_PRIMES))
+    words = enumerate_paths(g, 2)
+
+    def draw():
+        return RandomVariable(g, [
+            (
+                (rng.choice(words), rng.random() < 0.5),
+                ExactComplex(_large_rational(rng, primes), _large_rational(rng, primes)),
+            )
+            for _ in range(rng.randint(1, 4))
+        ])
+
+    x = draw()
+    # Adding the adjoint keeps many products' expectations nonzero.
+    y = x.adjoint() + draw() if rng.random() < 0.5 else draw()
+    forms = _FormIds()
+    fx, fy = forms.factor(to_general(x)), forms.factor(to_general(y))
+    assert forms.expectation(fx) == expectation(x)
+    assert forms.expectation(fy) == expectation(y)
+    assert forms.expectation(forms.times(fx, fy, {})) == expectation(multiply(x, y))
 
 
 def test_cancelling_products_store_no_zero_entry(h):

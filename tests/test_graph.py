@@ -14,13 +14,14 @@ from graphfp import (
     enumerate_paths,
     graph_to_json,
     load_graph,
-    loop_power,
     make_word,
     path_word,
     primitive_root,
     vertex_word,
     word_tokens,
 )
+
+from util import loop_power
 
 
 def _independent_root_length(edges: tuple[str, ...]) -> int:

@@ -43,10 +43,10 @@ from graphfp import (
     variable_to_json,
     vertex_word,
 )
-from graphfp.opcalc import adjoint_monomial, ck_collapse, pair_letters
+from graphfp.opcalc import ck_collapse
 from graphfp.scalars import I, ONE
 
-from util import branching_graphs, random_variable
+from util import adjoint_monomial, branching_graphs, pair_letters, random_variable
 
 
 # -- independent left-regular action oracle ----------------------------------

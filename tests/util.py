@@ -18,17 +18,25 @@ from hypothesis import strategies as st
 
 from graphfp import (
     DiagonalElement,
+    DomainError,
     ExactComplex,
     Graph,
+    Monomial,
     NoncrossingPartition,
+    Pair,
     RandomVariable,
+    annihilation,
+    concat,
+    creation,
     cumulant,
     enumerate_nc,
     enumerate_paths,
     load_graph,
     moment,
 )
+from graphfp.graph import PathWord
 from graphfp.ncpart import top_weights
+from graphfp.opcalc import GeneratorLetter
 
 # Verdict lines collected by the acceptance suite; the conftest terminal
 # summary hook prints them once the run is over.
@@ -45,6 +53,32 @@ def catalan_by_recurrence(n: int) -> int:
     for k in range(n):
         cs.append(sum(cs[i] * cs[k - i] for i in range(k + 1)))
     return cs[n]
+
+
+def loop_power(word: PathWord, k: int) -> PathWord:
+    """The k-th concatenation power of a loop (k >= 1)."""
+    if k < 1:
+        raise DomainError(f"loop power must be >= 1, got {k}")
+    if k > 1 and not word.is_loop:
+        raise DomainError("only loops have concatenation powers above 1")
+    out = word
+    for _ in range(k - 1):
+        out = concat(out, word)  # never None for a loop
+    return out
+
+
+def adjoint_monomial(m: Monomial) -> Monomial:
+    return Monomial(
+        tuple(l.adjoint for l in reversed(m.letters)), m.coefficient.conjugate()
+    )
+
+
+def pair_letters(form: Pair) -> tuple[GeneratorLetter, ...]:
+    """Letters whose product reduces back to the given pair."""
+    letters = [creation(form.alpha)]
+    if not form.beta.is_vertex:
+        letters.append(annihilation(form.beta))
+    return tuple(letters)
 
 
 def has_crossing(blocks: Sequence[Sequence[int]]) -> bool:
