@@ -69,9 +69,9 @@ from .opcalc import (
     GeneralElement,
     GeneratorLetter,
     Monomial,
-    Pair,
     RandomVariable,
     _FormIds,
+    _grading,
     _times,
     expectation,
     reduce_monomial,
@@ -115,10 +115,6 @@ def _graph_of(x: Element) -> Graph:
     if g is None:
         raise DomainError("cannot infer the graph of a unit monomial")
     return g
-
-
-def _grading(pair: Pair) -> int:
-    return pair.alpha.length - pair.beta.length
 
 
 def _chain_prefixes(
@@ -311,6 +307,8 @@ class _ChainProducts:
         graph = _graph_of(items[0][1])
         slots = [self._slot(a) for _d, a in items]
         pending = [d for d, _a in items]
+        if any(d is not None and d.graph != graph for d in pending):
+            raise DomainError("cannot multiply elements over different graphs")
         # after[i]: the first live position to the right of position i (n: none).
         after = list(range(1, n + 1))
         closed: DiagonalElement | None = None
@@ -388,16 +386,9 @@ def connectivity_multiplier(
     """Sum of Mobius weights over the partitions that connect the letters."""
     if not letters:
         raise DomainError("need at least one letter")
-    n = len(letters)
-    table = _ChainProducts()
-    items = [(None, letter) for letter in letters]
-    weight = 0
-    connected = []
-    for p, mu in zip(enumerate_nc(n), top_weights(n)):
-        if not table.partition_moment(p, items).is_zero():
-            weight += mu
-            connected.append(p)
-    return weight, connected
+    report = cumulant(letters)
+    connected = [p for p, contrib in report.contributions.items() if not contrib.is_zero()]
+    return sum(report.weights[p] for p in connected), connected
 
 
 def cumulant_via_multiplier(letters: Sequence[GeneratorLetter]) -> DiagonalElement:

@@ -319,150 +319,131 @@ def star_axis_property(m: Monomial) -> bool:
     return lattice_path(m).star_axis
 
 
-class DiagonalElement:
-    """A finite linear combination of vertex projections (exact coefficients).
+class _Combination:
+    """A finite linear combination over one graph: ``terms`` maps a key to its
+    exact coefficient, and no zero coefficient is stored.
 
-    Entries with zero coefficient are never stored.
-    """
-
-    __slots__ = ("graph", "entries")
-
-    def __init__(self, graph: Graph, entries: dict[str, ExactComplex] | None = None):
-        self.graph = graph
-        clean: dict[str, ExactComplex] = {}
-        for v, c in (entries or {}).items():
-            graph.require_vertex(v)
-            c = ExactComplex.of(c)
-            if not c.is_zero():
-                clean[v] = c
-        self.entries = clean
-
-    @classmethod
-    def zero(cls, graph: Graph) -> "DiagonalElement":
-        return cls(graph, {})
-
-    @classmethod
-    def unit(cls, graph: Graph) -> "DiagonalElement":
-        return cls(graph, {v: ONE for v in graph.vertices})
-
-    def get(self, v: str) -> ExactComplex:
-        self.graph.require_vertex(v)
-        return self.entries.get(v, ExactComplex.of(0))
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DiagonalElement)
-            and self.graph == other.graph
-            and self.entries == other.entries
-        )
-
-    def __add__(self, other: "DiagonalElement") -> "DiagonalElement":
-        merged = dict(self.entries)
-        for v, c in other.entries.items():
-            merged[v] = merged.get(v, ExactComplex.of(0)) + c
-        return DiagonalElement(self.graph, merged)
-
-    def __mul__(self, other: "DiagonalElement") -> "DiagonalElement":
-        # Vertex projections are orthogonal, so the product is entrywise.
-        small, large = self.entries, other.entries
-        if len(large) < len(small):
-            small, large = large, small
-        return DiagonalElement(
-            self.graph, {v: small[v] * large[v] for v in small if v in large}
-        )
-
-    def scale(self, c) -> "DiagonalElement":
-        c = ExactComplex.of(c)
-        return DiagonalElement(self.graph, {v: c * x for v, x in self.entries.items()})
-
-    def conjugate(self) -> "DiagonalElement":
-        return DiagonalElement(
-            self.graph, {v: x.conjugate() for v, x in self.entries.items()}
-        )
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}: {c}" for v, c in sorted(self.entries.items()))
-        return f"DiagonalElement({{{inner}}})"
-
-
-class RandomVariable:
-    """A finite linear combination of generator letters.
-
-    Terms are keyed by ``(word, star)``; vertex terms always carry
-    ``star=False`` (their letters are self-adjoint) and zero coefficients are
-    dropped.
+    The constructor sums the coefficients of repeated keys.  Subclasses check
+    their own keys and then call it; results that are already clean skip it
+    through ``_clean``.
     """
 
     __slots__ = ("graph", "terms")
 
-    def __init__(
-        self,
-        graph: Graph,
-        terms: Iterable[tuple[tuple[PathWord, bool], ExactComplex]] | dict | None = None,
-    ):
+    def __init__(self, graph: Graph, terms: Iterable[tuple] | dict | None = None):
         self.graph = graph
-        items = terms.items() if isinstance(terms, dict) else (terms or [])
-        clean: dict[tuple[PathWord, bool], ExactComplex] = {}
-        for (word, star), coeff in items:
-            if word.graph != graph:
-                raise DomainError("term word belongs to a different graph")
-            if word.is_vertex:
-                star = False
-            key = (word, bool(star))
+        clean: dict = {}
+        for key, coeff in terms.items() if isinstance(terms, dict) else terms or ():
             coeff = ExactComplex.of(coeff)
-            merged = clean.get(key, ExactComplex.of(0)) + coeff
-            if merged.is_zero():
+            if key in clean:
+                coeff = clean[key] + coeff
+            if coeff.is_zero():
                 clean.pop(key, None)
             else:
-                clean[key] = merged
+                clean[key] = coeff
         self.terms = clean
 
     @classmethod
-    def zero(cls, graph: Graph) -> "RandomVariable":
-        return cls(graph)
+    def _clean(cls, graph: Graph, terms: dict):
+        # Internal results whose coefficients are ExactComplex and nonzero.
+        out = cls.__new__(cls)
+        out.graph = graph
+        out.terms = terms
+        return out
 
     @classmethod
-    def unit(cls, graph: Graph) -> "RandomVariable":
-        """The identity as the (finite) sum of all vertex projections."""
-        return cls(graph, {(vertex_word(graph, v), False): ONE for v in graph.vertices})
-
-    @classmethod
-    def from_letter(cls, letter: GeneratorLetter, coeff=ONE) -> "RandomVariable":
-        return cls(letter.word.graph, {(letter.word, letter.star): ExactComplex.of(coeff)})
-
-    def coefficient(self, word: PathWord, star: bool = False) -> ExactComplex:
-        if word.is_vertex:
-            star = False
-        return self.terms.get((word, star), ExactComplex.of(0))
+    def zero(cls, graph: Graph):
+        return cls._clean(graph, {})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, RandomVariable)
+            type(other) is type(self)
             and self.graph == other.graph
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "RandomVariable") -> "RandomVariable":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         if self.graph != other.graph:
-            raise DomainError("cannot add variables over different graphs")
-        return RandomVariable(
-            self.graph, list(self.terms.items()) + list(other.terms.items())
+            raise DomainError("cannot add elements over different graphs")
+        return self._clean(
+            self.graph,
+            _Combination(self.graph, [*self.terms.items(), *other.terms.items()]).terms,
         )
 
-    def scale(self, c) -> "RandomVariable":
+    def scale(self, c):
         c = ExactComplex.of(c)
-        return RandomVariable(
-            self.graph, {k: c * v for k, v in self.terms.items()}
+        if c.is_zero():
+            return self.zero(self.graph)
+        return self._clean(self.graph, {k: c * x for k, x in self.terms.items()})
+
+
+class DiagonalElement(_Combination):
+    """A finite linear combination of vertex projections, keyed by vertex id."""
+
+    __slots__ = ()
+
+    def __init__(self, graph: Graph, entries: dict[str, ExactComplex] | None = None):
+        for v in entries or ():
+            graph.require_vertex(v)
+        super().__init__(graph, entries)
+
+    @property
+    def entries(self) -> dict[str, ExactComplex]:
+        return self.terms
+
+    def get(self, v: str) -> ExactComplex:
+        self.graph.require_vertex(v)
+        return self.terms.get(v, ExactComplex.of(0))
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def __mul__(self, other: "DiagonalElement") -> "DiagonalElement":
+        # Vertex projections are orthogonal, so the product is entrywise.
+        small, large = self.terms, other.terms
+        if len(large) < len(small):
+            small, large = large, small
+        return self._clean(
+            self.graph, {v: small[v] * large[v] for v in small if v in large}
         )
+
+    def conjugate(self) -> "DiagonalElement":
+        return self._clean(self.graph, {v: x.conjugate() for v, x in self.terms.items()})
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{v}: {c}" for v, c in sorted(self.terms.items()))
+        return f"DiagonalElement({{{inner}}})"
+
+
+class RandomVariable(_Combination):
+    """A finite linear combination of generator letters.
+
+    Terms are keyed by ``(word, star)``; vertex terms always carry
+    ``star=False``, because their letters are self-adjoint.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        graph: Graph,
+        terms: Iterable[tuple[tuple[PathWord, bool], ExactComplex]] | dict | None = None,
+    ):
+        items = []
+        for (word, star), coeff in terms.items() if isinstance(terms, dict) else terms or ():
+            if word.graph != graph:
+                raise DomainError("term word belongs to a different graph")
+            items.append(((word, bool(star) and not word.is_vertex), coeff))
+        super().__init__(graph, items)
+
+    @classmethod
+    def from_letter(cls, letter: GeneratorLetter, coeff=ONE) -> "RandomVariable":
+        return cls(letter.word.graph, {(letter.word, letter.star): coeff})
 
     def adjoint(self) -> "RandomVariable":
         return RandomVariable(
@@ -510,56 +491,10 @@ class RandomVariable:
         return " + ".join(bits) or "0"
 
 
-class GeneralElement:
-    """A finite linear combination of two-sided normal forms."""
+class GeneralElement(_Combination):
+    """A finite linear combination of two-sided normal forms, keyed by ``Pair``."""
 
-    __slots__ = ("graph", "terms")
-
-    def __init__(
-        self,
-        graph: Graph,
-        terms: Iterable[tuple[Pair, ExactComplex]] | dict | None = None,
-    ):
-        self.graph = graph
-        items = terms.items() if isinstance(terms, dict) else (terms or [])
-        clean: dict[Pair, ExactComplex] = {}
-        for pair, coeff in items:
-            coeff = ExactComplex.of(coeff)
-            merged = clean.get(pair, ExactComplex.of(0)) + coeff
-            if merged.is_zero():
-                clean.pop(pair, None)
-            else:
-                clean[pair] = merged
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, graph: Graph) -> "GeneralElement":
-        return cls(graph)
-
-    @classmethod
-    def _clean(cls, graph: Graph, terms: dict[Pair, ExactComplex]) -> "GeneralElement":
-        # Internal results whose coefficients are ExactComplex and nonzero.
-        out = cls.__new__(cls)
-        out.graph = graph
-        out.terms = terms
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GeneralElement)
-            and self.graph == other.graph
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "GeneralElement") -> "GeneralElement":
-        if self.graph != other.graph:
-            raise DomainError("cannot add elements over different graphs")
-        return GeneralElement(
-            self.graph, list(self.terms.items()) + list(other.terms.items())
-        )
+    __slots__ = ()
 
     def __repr__(self) -> str:
         bits = [f"({c})·{p}" for p, c in self.terms.items()]
@@ -591,17 +526,13 @@ def to_general(x: Element) -> GeneralElement:
             return GeneralElement.zero(x.graph)
         return GeneralElement(x.graph, [(form, x.coefficient)])
     if isinstance(x, RandomVariable):
-        items = []
-        g = x.graph
-        for (w, star), c in x.terms.items():
-            if w.is_vertex:
-                pair = Pair(w, w)
-            elif star:
-                pair = Pair(vertex_word(g, w.target), w)
-            else:
-                pair = Pair(w, vertex_word(g, w.target))
-            items.append((pair, c))
-        return GeneralElement(g, items)
+        return GeneralElement(
+            x.graph,
+            [
+                (_apply_letter(None, GeneratorLetter(w, star), CK), c)
+                for (w, star), c in x.terms.items()
+            ],
+        )
     raise TypeError(f"cannot interpret {type(x).__name__} as an element")
 
 
@@ -685,7 +616,7 @@ class _FormIds:
         """E of the value x."""
         terms, den = x
         vertices = self.vertices
-        return DiagonalElement(
+        return DiagonalElement._clean(
             self.graph,
             {
                 vertices[k]: ExactComplex(Fraction(re, den), Fraction(im, den))
@@ -693,6 +624,12 @@ class _FormIds:
                 if vertices[k] is not None
             },
         )
+
+
+def _grading(pair: Pair) -> int:
+    # |alpha| - |beta| of L[alpha] L*[beta]; a product adds the gradings of
+    # its factors, and E keeps only grading 0.
+    return len(pair.alpha.edges) - len(pair.beta.edges)
 
 
 def _times(gx: GeneralElement, gy: GeneralElement, rows: dict) -> GeneralElement:
@@ -704,7 +641,7 @@ def _times(gx: GeneralElement, gy: GeneralElement, rows: dict) -> GeneralElement
         raise DomainError("cannot multiply elements over different graphs")
     acc: dict[Pair, ExactComplex] = {}
     for p1, c1 in gx.terms.items():
-        grading = len(p1.alpha.edges) - len(p1.beta.edges)
+        grading = _grading(p1)
         bucket = rows.get(grading)
         if bucket is None:
             bucket = rows[grading] = {}

@@ -52,15 +52,19 @@ from graphfp.freeprob import _ChainProducts, _chain_prefixes
 from graphfp.opcalc import _FormIds
 
 from util import (
+    LARGE_PRIMES,
     branching_graphs,
     catalan,
     ck_moments_by_words,
     freeness_scan_by_brute_force,
+    large_rational,
     nested_cumulant,
     partition_moment_by_interval_search,
     random_variable,
     scalar_cumulants_from_moments,
     uncached_cumulant,
+    unit_diagonal,
+    unit_variable,
 )
 
 
@@ -234,7 +238,7 @@ def test_expectation_commutes_with_the_adjoint(case):
     # E(X)* = E(X*) reads as a moment of the reversed adjoint slots.
     variables, diagonals, _factors = case
     g = variables[0].graph
-    first = DiagonalElement.unit(g) if diagonals[0] is None else diagonals[0]
+    first = unit_diagonal(g) if diagonals[0] is None else diagonals[0]
     star = moment(
         [x.adjoint() for x in reversed(variables)],
         [None] + [None if d is None else d.conjugate() for d in reversed(diagonals[1:])],
@@ -464,15 +468,6 @@ def test_first_block_recursion_matches_the_partition_sums(g, n, rng):
     assert trivial == cumulant([variables[0]] * n).value
 
 
-# The primes between 999,000 and 10**6: coefficients whose parts take
-# distinct ones have large, pairwise coprime denominators.
-_LARGE_PRIMES = [p for p in range(999_001, 10**6, 2) if all(p % d for d in range(3, 1000, 2))]
-
-
-def _large_rational(rng, primes) -> Fraction:
-    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), primes.pop())
-
-
 def _large_denominator_variable(g, rng, primes) -> RandomVariable:
     # Vertex terms and loops, plus the adjoint half the time, as in
     # _random_slot_variable, keep many cumulants nonzero.  Every coefficient
@@ -480,7 +475,7 @@ def _large_denominator_variable(g, rng, primes) -> RandomVariable:
     words = [w for w in enumerate_paths(g, 2) if w.is_vertex or w.is_loop]
     items = []
     for _ in range(rng.randint(1, 3)):
-        c = ExactComplex(_large_rational(rng, primes), _large_rational(rng, primes))
+        c = ExactComplex(large_rational(rng, primes), large_rational(rng, primes))
         items.append(((rng.choice(words), rng.random() < 0.5), c))
     a = RandomVariable(g, items)
     return a + a.adjoint() if rng.random() < 0.5 else a
@@ -491,12 +486,12 @@ def _large_denominator_variable(g, rng, primes) -> RandomVariable:
 def test_large_coprime_denominators_match_the_oracles(g, n, rng):
     # The table clears each factor's denominators once and divides once per
     # block value; the oracles multiply Fractions throughout.
-    primes = rng.sample(_LARGE_PRIMES, len(_LARGE_PRIMES))
+    primes = rng.sample(LARGE_PRIMES, len(LARGE_PRIMES))
     pool = [_large_denominator_variable(g, rng, primes) for _ in range(2)]
     variables = [rng.choice(pool) for _ in range(n)]
     diagonals = [
         _diag(g, {
-            v: ExactComplex(_large_rational(rng, primes), _large_rational(rng, primes))
+            v: ExactComplex(large_rational(rng, primes), large_rational(rng, primes))
             for v in g.vertices
         })
         if rng.random() < 0.5 else None
@@ -515,14 +510,14 @@ def test_form_id_values_match_the_element_algebra(g, rng):
     # A form-id value clears its denominators once and divides once, in its
     # expectation; multiply and expectation keep Fractions throughout.  Each
     # coefficient's parts have two fresh large prime denominators.
-    primes = rng.sample(_LARGE_PRIMES, len(_LARGE_PRIMES))
+    primes = rng.sample(LARGE_PRIMES, len(LARGE_PRIMES))
     words = enumerate_paths(g, 2)
 
     def draw():
         return RandomVariable(g, [
             (
                 (rng.choice(words), rng.random() < 0.5),
-                ExactComplex(_large_rational(rng, primes), _large_rational(rng, primes)),
+                ExactComplex(large_rational(rng, primes), large_rational(rng, primes)),
             )
             for _ in range(rng.randint(1, 4))
         ])
@@ -555,6 +550,21 @@ def test_products_reject_variables_over_different_graphs(h, fork):
     for p in enumerate_nc(2):
         with pytest.raises(DomainError):
             partition_moment(p, [(None, x), (None, y)])
+
+
+def test_products_reject_a_diagonal_over_another_graph(h, loop_var):
+    # The edgeless graph shares h's vertex names, so the diagonal's entries
+    # would read as valid vertices of h.
+    other = load_graph({"vertices": ["v1", "v2"], "edges": []})
+    d = _diag(other, {"v1": 1})
+    message = "cannot multiply elements over different graphs"
+    with pytest.raises(DomainError, match=message):
+        moment([loop_var, loop_var], [None, d])
+    with pytest.raises(DomainError, match=message):
+        cumulant([loop_var, loop_var], [None, d])
+    for p in enumerate_nc(2):
+        with pytest.raises(DomainError, match=message):
+            partition_moment(p, [(None, loop_var), (d, loop_var)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -773,7 +783,7 @@ def test_identical_variables_with_path_support_are_not_free(h):
 
 
 def test_diagonal_variables_are_free_from_everything(h):
-    d = RandomVariable.unit(h)
+    d = unit_variable(h)
     a = _var(_c(h, "e1"))
     assert freeness_certificate(d, a)
     ok, _w = mixed_cumulants_vanish(d, a, max_order=3)

@@ -33,6 +33,7 @@ from graphfp import (
     enumerate_paths,
     expectation,
     lattice_path,
+    load_graph,
     multiply,
     parse_letters,
     path_word,
@@ -46,7 +47,17 @@ from graphfp import (
 from graphfp.opcalc import ck_collapse
 from graphfp.scalars import I, ONE
 
-from util import adjoint_monomial, branching_graphs, pair_letters, random_variable
+from util import (
+    LARGE_PRIMES,
+    adjoint_monomial,
+    branching_graphs,
+    coefficient,
+    large_rational,
+    pair_letters,
+    random_variable,
+    unit_diagonal,
+    unit_variable,
+)
 
 
 # -- independent left-regular action oracle ----------------------------------
@@ -272,7 +283,7 @@ def test_diagonal_algebra(h):
     assert (d1 + d2).entries == {"v2": ExactComplex.of(2)}  # zero entries vanish
     assert (d1 * d2).entries == {"v1": ExactComplex.of(-1)}
     assert d1.scale(0).is_zero()
-    assert DiagonalElement.unit(h).get("v1") == one
+    assert unit_diagonal(h).get("v1") == one
     assert d2.get("v2").is_zero()
     with pytest.raises(DomainError):
         DiagonalElement(h, {"nope": one})
@@ -294,7 +305,7 @@ def test_diagonal_conjugate():
 def test_vertex_terms_ignore_star(h):
     v = vertex_word(h, "v1")
     a = RandomVariable(h, [((v, True), ExactComplex.of(1)), ((v, False), ExactComplex.of(1))])
-    assert a.coefficient(v) == ExactComplex.of(2)
+    assert coefficient(a, v) == ExactComplex.of(2)
     assert len(a.terms) == 1
 
 
@@ -304,7 +315,7 @@ def test_adjoint_and_self_adjointness(h):
     assert a.is_self_adjoint()
     b = RandomVariable.from_letter(creation(l), ExactComplex(0, 1))
     assert not b.is_self_adjoint()
-    assert b.adjoint().coefficient(l, star=True) == ExactComplex(0, -1)
+    assert coefficient(b.adjoint(), l, star=True) == ExactComplex(0, -1)
     assert b.adjoint().adjoint() == b
 
 
@@ -417,7 +428,7 @@ def test_products_store_no_zero_coefficient(g, rng):
 
 def test_unit_variable_is_neutral(h):
     rng = random.Random(17)
-    unit = RandomVariable.unit(h)
+    unit = unit_variable(h)
     for _ in range(20):
         a = random_variable(h, rng)
         ga = to_general(a)
@@ -472,6 +483,68 @@ def test_general_element_merges_and_drops_zeros(h):
     assert not g1.terms
     g2 = GeneralElement(h, [(Pair(v2, v2), ExactComplex.of(2))])
     assert (g1 + g2).terms == {Pair(v2, v2): ExactComplex.of(2)}
+
+
+def _keys_of_each_class(g):
+    # Keys of the three shapes over g: vertex ids, (word, star) letters and
+    # the normal forms L[w] L*[t], L[t] L*[w] with t the target of w.
+    words = enumerate_paths(g, 2)
+    target = {w: vertex_word(g, w.target) for w in words}
+    return {
+        DiagonalElement: list(g.vertices),
+        RandomVariable: [(w, s) for w in words for s in (False, True) if not (w.is_vertex and s)],
+        GeneralElement: sorted(
+            {Pair(w, target[w]) for w in words} | {Pair(target[w], w) for w in words}, key=str
+        ),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(branching_graphs(), st.randoms(use_true_random=False))
+def test_the_three_combination_types_share_one_algebra(g, rng):
+    # Each class keeps a sum of coefficients per key and no zero, its zero is
+    # empty, it equals and adds only its own class, and it refuses to add a
+    # value over a graph with the same vertex names.  Coefficient parts take distinct
+    # large prime denominators, so no two terms sum to zero by accident.
+    primes = rng.sample(LARGE_PRIMES, len(LARGE_PRIMES))
+    twin = load_graph({"vertices": list(g.vertices), "edges": []})
+    zeros = [cls.zero(g) for cls in (DiagonalElement, RandomVariable, GeneralElement)]
+    for cls, keys in _keys_of_each_class(g).items():
+        items, want = [], {}
+        for key in rng.sample(keys, min(len(keys), rng.randint(1, 4))):
+            re, im = large_rational(rng, primes), large_rational(rng, primes)
+            items.append((key, ExactComplex(re, im)))
+            if rng.random() < 0.4:
+                items.append((key, ExactComplex(-re, -im)))
+                continue
+            if rng.random() < 0.5:
+                re2, im2 = large_rational(rng, primes), large_rational(rng, primes)
+                items.append((key, ExactComplex(re2, im2)))
+                re, im = re + re2, im + im2
+            want[key] = (re, im)
+        rng.shuffle(items)
+        if cls is DiagonalElement:
+            # A dict holds each vertex once, so repeats go through addition.
+            x = DiagonalElement.zero(g)
+            for key, c in items:
+                x = x + DiagonalElement(g, {key: c})
+        else:
+            x = cls(g, items)
+        assert {k: (c.re, c.im) for k, c in x.terms.items()} == want
+        assert cls.zero(g).is_zero() and cls.zero(g) == cls(g)
+        assert x + cls.zero(g) == x and x.scale(0) == cls.zero(g)
+        assert [z for z in zeros if z == cls.zero(g)] == [cls.zero(g)]
+        for z in zeros:
+            if type(z) is not cls:
+                with pytest.raises(TypeError):
+                    x + z
+        with pytest.raises(TypeError):
+            hash(x)
+        other = DiagonalElement(twin, x.terms) if cls is DiagonalElement else cls.zero(twin)
+        with pytest.raises(DomainError, match="cannot add elements over different graphs"):
+            x + other
+        with pytest.raises(DomainError, match="cannot add elements over different graphs"):
+            other + x
 
 
 # -- JSON ------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from graphfp import (
     enumerate_paths,
     load_graph,
     moment,
+    vertex_word,
 )
 from graphfp.graph import PathWord
 from graphfp.ncpart import top_weights
@@ -79,6 +80,23 @@ def pair_letters(form: Pair) -> tuple[GeneratorLetter, ...]:
     if not form.beta.is_vertex:
         letters.append(annihilation(form.beta))
     return tuple(letters)
+
+
+def unit_diagonal(graph: Graph) -> DiagonalElement:
+    """The identity as the sum of all vertex projections, in D_G."""
+    return DiagonalElement(graph, {v: ExactComplex.of(1) for v in graph.vertices})
+
+
+def unit_variable(graph: Graph) -> RandomVariable:
+    """The identity as the sum of all vertex projections, as a variable."""
+    return RandomVariable(
+        graph, {(vertex_word(graph, v), False): ExactComplex.of(1) for v in graph.vertices}
+    )
+
+
+def coefficient(x: RandomVariable, word: PathWord, star: bool = False) -> ExactComplex:
+    """The coefficient of L[word] (L*[word] when star) in x."""
+    return x.terms.get((word, star and not word.is_vertex), ExactComplex.of(0))
 
 
 def has_crossing(blocks: Sequence[Sequence[int]]) -> bool:
@@ -250,6 +268,16 @@ def freeness_scan_by_brute_force(a: RandomVariable, b: RandomVariable, max_order
             if not value.is_zero():
                 return False, (n, pattern, value)
     return True, None
+
+
+# The primes between 999,000 and 10**6: coefficients whose parts take
+# distinct ones have large, pairwise coprime denominators.
+LARGE_PRIMES = [p for p in range(999_001, 10**6, 2) if all(p % d for d in range(3, 1000, 2))]
+
+
+def large_rational(rng: random.Random, primes: list[int]) -> Fraction:
+    """A signed rational over the next unused prime of ``primes``."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), primes.pop())
 
 
 def random_variable(
