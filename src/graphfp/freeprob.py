@@ -24,6 +24,15 @@ classification) keeps one table of chain products and extends a stored
 prefix by one slot instead of rebuilding the chain for every partition,
 pattern and order.
 
+A normal form L[alpha] L*[beta] sits in the vertex corner (source of alpha,
+source of beta).  ``_apply_letter`` gives zero when two factors' vertices
+differ, a chain product keeps its first factor's left vertex and its last
+factor's right vertex, and E reads only (v, v) forms.  The recursion is
+multilinear in each slot, so by induction on the order a cumulant is zero,
+term choice by term choice, unless one term per slot chains into a closed
+walk of vertices; no associativity is assumed.  A table checks that once per
+call and returns zero without a product when no choice closes.
+
 ``moment`` and the compressed moment series build their chain directly and
 prune it by grading.  A normal form L[alpha] L*[beta] has grading
 |alpha| - |beta|; every reduction step adds the gradings of its factors, and
@@ -207,12 +216,20 @@ class _ChainProducts:
         self._products: dict[tuple, list] = {}
         # key -> entries of its cumulant, from the first-block recursion
         self._cumulants: dict[tuple, dict] = {}
+        # slot -> left vertex of a term -> the right vertices it reaches
+        self._corners: list[dict[str, set[str]]] = []
 
     def _slot(self, x: Element) -> int:
         for i, (v, _value, _rows) in enumerate(self._variables):
             if v is x:
                 return i
-        self._variables.append((x, self._forms.factor(to_general(x)), {}))
+        value = self._forms.factor(to_general(x))
+        corners: dict[str, set[str]] = {}
+        for k in value[0]:
+            form = self._forms.forms[k]
+            corners.setdefault(form.alpha.source, set()).add(form.beta.source)
+        self._variables.append((x, value, {}))
+        self._corners.append(corners)
         return len(self._variables) - 1
 
     def _block_value(self, key: tuple) -> DiagonalElement:
@@ -293,8 +310,18 @@ class _ChainProducts:
     def kappa(self, variables: Sequence[Element]) -> DiagonalElement:
         """k_n(a1, ..., an) with unit diagonal slots, by the recursion."""
         _check_slots(variables, None)
-        key = tuple((self._slot(x), None) for x in variables)
-        return DiagonalElement(_graph_of(variables[0]), self._kappa(key))
+        slots = [self._slot(x) for x in variables]
+        # The (start, end) vertices of the walks that one term per slot
+        # chains into; the cumulant is zero unless one of them closes.
+        walks = {(u, w) for u, ws in self._corners[slots[0]].items() for w in ws}
+        for slot in slots[1:]:
+            corners = self._corners[slot]
+            walks = {(u, w) for u, v in walks for w in corners.get(v, ())}
+        graph = _graph_of(variables[0])
+        if not any(u == w for u, w in walks):
+            return DiagonalElement.zero(graph)
+        key = tuple((slot, None) for slot in slots)
+        return DiagonalElement(graph, self._kappa(key))
 
     def partition_moment(
         self,

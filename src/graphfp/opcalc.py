@@ -405,6 +405,8 @@ class DiagonalElement(_Combination):
 
     def __mul__(self, other: "DiagonalElement") -> "DiagonalElement":
         # Vertex projections are orthogonal, so the product is entrywise.
+        if self.graph is not other.graph and self.graph != other.graph:
+            raise DomainError("cannot multiply elements over different graphs")
         small, large = self.terms, other.terms
         if len(large) < len(small):
             small, large = large, small

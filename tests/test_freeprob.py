@@ -14,7 +14,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from graphfp import (
@@ -601,6 +601,64 @@ def test_freeness_scan_matches_the_uncached_brute_scan(g, rng):
     ok, witness = mixed_cumulants_vanish(a, b, 4)
     found = None if witness is None else (witness.order, witness.pattern, witness.value)
     assert (ok, found) == freeness_scan_by_brute_force(a, b, 4)
+
+
+def test_closed_walk_check_is_exact_and_fires():
+    # Compressions of one variable at two vertices u != w, their adjoints and
+    # a variable on non-loop paths: many slot sequences cannot chain into a
+    # closed walk, so the table's check answers zero before it builds any
+    # product.  Both the answers it gives and those it leaves to the
+    # recursion must match the NC(n) sum, and the check must fire often
+    # enough that the property is not vacuous.
+    fired = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(branching_graphs(), st.integers(2, 4), st.randoms(use_true_random=False))
+    def check(g, n, rng):
+        assume(len(g.vertices) >= 2)
+        # v0 always carries a loop, so the compression at u has one.
+        u, w = "v0", rng.choice(sorted(v for v in g.vertices if v != "v0"))
+        paths = enumerate_paths(g, 2)
+
+        def draw(words, k):
+            # Distinct words with nonzero coefficients: no term cancels.
+            return RandomVariable(g, [
+                ((p, rng.random() < 0.5), Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 3)))
+                for p in rng.sample(words, min(k, len(words)))
+            ])
+
+        loop = rng.choice([p for p in paths if p.is_loop and p.source == u])
+        based = [p for p in paths if (p.is_vertex or p.is_loop) and p.source in (u, w)]
+        x = draw([loop], 1) + draw([p for p in based if p != loop], rng.randint(1, 3))
+        pool = [compress_vertex(x, u), compress_vertex(x, w)]
+        pool += [c.adjoint() for c in pool]
+        walks = [p for p in paths if not p.is_vertex and not p.is_loop] or paths
+        pool.append(draw(walks, rng.randint(1, 2)))
+        variables = [rng.choice(pool) for _ in range(n)]
+        table = _ChainProducts()
+        assert table.kappa(variables) == uncached_cumulant(variables)
+        fired.append(not table._products)
+        a, b = rng.sample(pool, 2)
+        ok, witness = mixed_cumulants_vanish(a, b, 3)
+        found = None if witness is None else (witness.order, witness.pattern, witness.value)
+        assert (ok, found) == freeness_scan_by_brute_force(a, b, 3)
+
+    check()
+    assert 4 * sum(fired) >= len(fired), (sum(fired), len(fired))
+
+
+def test_scan_cumulants_of_loops_at_two_vertices_build_no_product(h):
+    # The loop e1 e2 sits at v1 and e2 e1 at v2: no mixed pattern closes, so
+    # every mixed cumulant is zero before a chain product is built.
+    a = _var(_c(h, "e1", "e2")) + _var(_a(h, "e1", "e2"))
+    b = _var(_c(h, "e2", "e1")) + _var(_a(h, "e2", "e1"))
+    table = _ChainProducts()
+    for n in range(2, 6):
+        for pattern in product((a, b), repeat=n):
+            if any(x is a for x in pattern) and any(x is b for x in pattern):
+                assert table.kappa(list(pattern)).is_zero()
+    assert table._products == {}
+    assert mixed_cumulants_vanish(a, b, 6) == (True, None)
 
 
 @settings(max_examples=40, deadline=None)

@@ -291,6 +291,23 @@ def test_diagonal_algebra(h):
         hash(d1)
 
 
+def test_diagonal_product_refuses_another_graph(h):
+    # The edgeless twin shares h's vertex names, so the entrywise product
+    # would otherwise go through and keep the left graph.
+    twin = load_graph({"vertices": ["v1", "v2"], "edges": []})
+    x = DiagonalElement(h, {"v1": ExactComplex.of(2)})
+    y = DiagonalElement(twin, {"v1": ExactComplex.of(3)})
+    for left, right in ((x, y), (y, x)):
+        with pytest.raises(DomainError, match="cannot multiply elements over different graphs"):
+            left * right
+    # An equal graph built separately is the same graph.
+    same = load_graph({"vertices": ["v1", "v2"], "edges": [
+        {"id": "e1", "src": "v1", "dst": "v2"}, {"id": "e2", "src": "v2", "dst": "v1"},
+    ]})
+    z = DiagonalElement(same, {"v1": ExactComplex.of(3)})
+    assert (x * z).entries == {"v1": ExactComplex.of(6)}
+
+
 def test_diagonal_conjugate():
     from graphfp import load_graph
 
