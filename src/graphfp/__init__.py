@@ -15,11 +15,8 @@ from .compress import (
 from .errors import DomainError, FormatError, GraphFPError
 from .freeprob import (
     classify,
-    connectivity_multiplier,
     cumulant,
-    cumulant_via_multiplier,
     freeness_certificate,
-    is_partition_connected,
     mixed_cumulants_vanish,
     moment,
     partition_moment,
@@ -57,7 +54,6 @@ from .opcalc import (
     multiply,
     parse_letters,
     reduce_monomial,
-    star_axis_property,
     to_general,
     variable_from_json,
     variable_to_json,
@@ -87,10 +83,8 @@ __all__ = [
     "compressed_moment_series",
     "compressed_r_transform",
     "concat",
-    "connectivity_multiplier",
     "creation",
     "cumulant",
-    "cumulant_via_multiplier",
     "diagonal_compress",
     "diagram",
     "diagram_distinct",
@@ -101,7 +95,6 @@ __all__ = [
     "format_rational",
     "freeness_certificate",
     "graph_to_json",
-    "is_partition_connected",
     "lattice_path",
     "load_graph",
     "make_word",
@@ -116,7 +109,6 @@ __all__ = [
     "path_word",
     "primitive_root",
     "reduce_monomial",
-    "star_axis_property",
     "to_general",
     "trivial_cumulant",
     "variable_from_json",

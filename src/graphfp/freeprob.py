@@ -72,19 +72,15 @@ from .errors import DomainError
 from .graph import Graph, diagram_distinct_sets
 from .ncpart import NoncrossingPartition, enumerate_nc, top_weights
 from .opcalc import (
-    CK,
     DiagonalElement,
     Element,
     GeneralElement,
     GeneratorLetter,
-    Monomial,
     RandomVariable,
     _FormIds,
     _grading,
     _times,
     expectation,
-    reduce_monomial,
-    star_axis_property,
     to_general,
 )
 from .scalars import ONE
@@ -95,9 +91,6 @@ __all__ = [
     "CumulantReport",
     "cumulant",
     "trivial_cumulant",
-    "is_partition_connected",
-    "connectivity_multiplier",
-    "cumulant_via_multiplier",
     "FreenessWitness",
     "mixed_cumulants_vanish",
     "freeness_certificate",
@@ -398,39 +391,15 @@ def trivial_cumulant(variable: Element, n: int) -> DiagonalElement:
     return _ChainProducts().kappa([variable] * n)
 
 
-def is_partition_connected(
-    partition: NoncrossingPartition, letters: Sequence[GeneratorLetter]
-) -> bool:
-    """True when the partition moment of the letter tuple is nonzero."""
-    return not partition_moment(
-        partition, [(None, letter) for letter in letters]
-    ).is_zero()
-
-
-def connectivity_multiplier(
-    letters: Sequence[GeneratorLetter],
-) -> tuple[int, list[NoncrossingPartition]]:
-    """Sum of Mobius weights over the partitions that connect the letters."""
-    if not letters:
-        raise DomainError("need at least one letter")
-    report = cumulant(letters)
-    connected = [p for p, contrib in report.contributions.items() if not contrib.is_zero()]
-    return sum(report.weights[p] for p in connected), connected
-
-
-def cumulant_via_multiplier(letters: Sequence[GeneratorLetter]) -> DiagonalElement:
-    """Shortcut cumulant: connectivity weight times the full-word expectation.
-
-    Requires the letter monomial to have the star-axis property; on that
-    hypothesis every connecting partition evaluates to the full expectation,
-    so the Mobius sum factors.
-    """
-    m = Monomial(tuple(letters))
-    if not star_axis_property(m):
-        raise DomainError("shortcut cumulant needs the star-axis property")
-    weight, _connected = connectivity_multiplier(letters)
-    graph = letters[0].word.graph
-    return expectation(reduce_monomial(m, CK), graph).scale(weight)
+def _unmirrored_patterns(k: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The patterns over range(k) of length n in product order, less each
+    whose mirror (reversed, every index i flipped to i ^ 1, which swaps a
+    variable and its adjoint) comes earlier.  E(X)* = E(X*) gives
+    k_n(x1, ..., xn)* = k_n(xn*, ..., x1*), so a scan that has found the
+    mirror zero need not look at the pattern."""
+    for pattern in product(range(k), repeat=n):
+        if tuple(i ^ 1 for i in reversed(pattern)) >= pattern:
+            yield pattern
 
 
 @dataclass
@@ -448,10 +417,8 @@ def mixed_cumulants_vanish(
     """Exhaustive freeness check over the diagonal.
 
     Scans the tuples over {a, a*, b, b*} of orders 2..max_order that use
-    both letters and returns the first nonvanishing cumulant as a witness.
-    E(X)* = E(X*) gives k_n(x1, ..., xn)* = k_n(xn*, ..., x1*), so a tuple
-    whose mirror (reversed, every star flipped) comes earlier in the scan
-    is skipped: that mirror was already found zero.  Identical variables
+    both letters and returns the first nonvanishing cumulant as a witness,
+    skipping each tuple whose mirror came earlier.  Identical variables
     with nonempty path support are reported not free immediately (a
     variable inside the diagonal is free from everything).
     """
@@ -468,10 +435,8 @@ def mixed_cumulants_vanish(
     labels = ("a", "a*", "b", "b*")
     slots = (a, a.adjoint(), b, b.adjoint())
     for n in range(2, max_order + 1):
-        # Index i ^ 1 flips the star of label i.
-        for pattern in product(range(4), repeat=n):
-            mixed = {i >> 1 for i in pattern} == {0, 1}
-            if not mixed or tuple(i ^ 1 for i in reversed(pattern)) < pattern:
+        for pattern in _unmirrored_patterns(4, n):
+            if {i >> 1 for i in pattern} != {0, 1}:
                 continue
             value = table.kappa([slots[i] for i in pattern])
             if not value.is_zero():
@@ -532,22 +497,14 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
     even = self_adjoint and all(
         trivial[n].is_zero() for n in range(1, max_order + 1, 2)
     )
-    adj = a.adjoint()
-    r_diagonal = True
-    for n in range(1, max_order + 1):
-        for pattern in product((False, True), repeat=n):
-            alternating = n % 2 == 0 and all(
-                pattern[i] != pattern[i + 1] for i in range(n - 1)
-            )
-            mirror = tuple(not star for star in reversed(pattern))
-            if alternating or mirror < pattern:
-                continue
-            value = table.kappa([adj if star else a for star in pattern])
-            if not value.is_zero():
-                r_diagonal = False
-                break
-        if not r_diagonal:
-            break
+    slots = (a, a.adjoint())
+    # The even strictly alternating patterns are the ones allowed to be nonzero.
+    r_diagonal = all(
+        table.kappa([slots[i] for i in pattern]).is_zero()
+        for n in range(1, max_order + 1)
+        for pattern in _unmirrored_patterns(2, n)
+        if n % 2 or any(x == y for x, y in zip(pattern, pattern[1:]))
+    )
     return ClassifyReport(
         self_adjoint, semicircular, even, r_diagonal, max_order, _support_hint(a)
     )

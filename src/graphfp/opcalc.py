@@ -56,7 +56,6 @@ __all__ = [
     "parse_letters",
     "LatticePath",
     "lattice_path",
-    "star_axis_property",
     "DiagonalElement",
     "RandomVariable",
     "GeneralElement",
@@ -313,10 +312,6 @@ def lattice_path(m: Monomial) -> LatticePath:
         else:
             steps.append((k, k))
     return LatticePath(tuple(steps))
-
-
-def star_axis_property(m: Monomial) -> bool:
-    return lattice_path(m).star_axis
 
 
 class _Combination:
@@ -676,14 +671,7 @@ def expectation(x: Element | NormalForm, graph: Graph | None = None) -> Diagonal
             raise DomainError("expectation of the zero form needs a graph")
         return DiagonalElement.zero(graph)
     if isinstance(x, Pair):
-        g = x.alpha.graph
-        if x.is_vertex_pair:
-            return DiagonalElement(g, {x.alpha.vertex: ONE})
-        return DiagonalElement.zero(g)
-    if isinstance(x, DiagonalElement):
-        return DiagonalElement(x.graph, dict(x.entries))
-    if isinstance(x, RandomVariable):
-        return x.diagonal()
+        x = GeneralElement(x.alpha.graph, [(x, ONE)])
     gx = to_general(x)
     # Distinct terms have distinct pairs, so each vertex pair occurs once.
     return DiagonalElement(

@@ -32,11 +32,11 @@ from graphfp import (
     compressed_r_transform,
     creation,
     cumulant,
-    cumulant_via_multiplier,
     diagonal_compress,
     enumerate_nc,
     expectation,
     freeness_certificate,
+    lattice_path,
     leq,
     mixed_cumulants_vanish,
     mobius,
@@ -44,7 +44,6 @@ from graphfp import (
     multiply,
     path_word,
     reduce_monomial,
-    star_axis_property,
     to_general,
     trivial_cumulant,
 )
@@ -56,6 +55,7 @@ from util import (
     ACCEPTANCE_LINES,
     balanced_sign_count,
     catalan,
+    cumulant_via_multiplier,
     random_variable,
     scalar_cumulants_from_moments,
 )
@@ -97,7 +97,7 @@ def test_criterion_01_star_axis_expectation_law(h, h_letters):
         for combo in product(letters, repeat=n):
             m = Monomial(combo)
             nonzero = not expectation(reduce_monomial(m, CK), h).is_zero()
-            if nonzero != star_axis_property(m):
+            if nonzero != lattice_path(m).star_axis:
                 bad.append(m)
     _verdict(
         1,
@@ -112,7 +112,7 @@ def test_criterion_02_cumulant_shortcut_agreement(h, h_letters):
     checked = 0
     for n in range(1, 5):
         for combo in product(letters, repeat=n):
-            if not star_axis_property(Monomial(combo)):
+            if not lattice_path(Monomial(combo)).star_axis:
                 continue
             direct = cumulant([_var(x) for x in combo]).value
             if cumulant_via_multiplier(list(combo)) != direct:
@@ -160,7 +160,7 @@ def test_criterion_03_loop_semicircularity(h):
     l_a = annihilation(path_word(h, ["e1", "e2"]))
     k2_shortcut = DiagonalElement.zero(h)
     for pair in product((l_c, l_a), repeat=2):
-        if star_axis_property(Monomial(pair)):
+        if lattice_path(Monomial(pair)).star_axis:
             k2_shortcut = k2_shortcut + cumulant_via_multiplier(list(pair))
         else:
             assert cumulant([_var(x) for x in pair]).value.is_zero()

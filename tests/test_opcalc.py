@@ -38,7 +38,6 @@ from graphfp import (
     parse_letters,
     path_word,
     reduce_monomial,
-    star_axis_property,
     to_general,
     variable_from_json,
     variable_to_json,
@@ -267,10 +266,10 @@ def test_lattice_path_needs_letters(h):
 
 
 def test_star_axis_examples(h):
-    assert star_axis_property(Monomial(parse_letters(h, "e1 e1*")))
-    assert star_axis_property(Monomial(parse_letters(h, "v1")))
-    assert not star_axis_property(Monomial(parse_letters(h, "e1")))
-    assert not star_axis_property(Monomial(parse_letters(h, "e1 e1")))
+    assert lattice_path(Monomial(parse_letters(h, "e1 e1*"))).star_axis
+    assert lattice_path(Monomial(parse_letters(h, "v1"))).star_axis
+    assert not lattice_path(Monomial(parse_letters(h, "e1"))).star_axis
+    assert not lattice_path(Monomial(parse_letters(h, "e1 e1"))).star_axis
 
 
 # -- diagonal elements ---------------------------------------------------------

@@ -17,6 +17,7 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from graphfp import (
+    CK,
     DiagonalElement,
     DomainError,
     ExactComplex,
@@ -31,8 +32,12 @@ from graphfp import (
     cumulant,
     enumerate_nc,
     enumerate_paths,
+    expectation,
+    lattice_path,
     load_graph,
     moment,
+    partition_moment,
+    reduce_monomial,
     vertex_word,
 )
 from graphfp.graph import PathWord
@@ -253,6 +258,42 @@ def uncached_cumulant(variables: Sequence, diagonals: Sequence | None = None) ->
     return total
 
 
+def is_partition_connected(
+    partition: NoncrossingPartition, letters: Sequence[GeneratorLetter]
+) -> bool:
+    """True when the partition moment of the letter tuple is nonzero."""
+    return not partition_moment(
+        partition, [(None, letter) for letter in letters]
+    ).is_zero()
+
+
+def connectivity_multiplier(
+    letters: Sequence[GeneratorLetter],
+) -> tuple[int, list[NoncrossingPartition]]:
+    """Sum of Mobius weights over the partitions that connect the letters."""
+    if not letters:
+        raise DomainError("need at least one letter")
+    report = cumulant(letters)
+    connected = [p for p, contrib in report.contributions.items() if not contrib.is_zero()]
+    return sum(report.weights[p] for p in connected), connected
+
+
+def cumulant_via_multiplier(letters: Sequence[GeneratorLetter]) -> DiagonalElement:
+    """Shortcut cumulant of the earlier graph papers: connectivity weight
+    times the full-word expectation.
+
+    Requires the letter monomial to have the star-axis property; on that
+    hypothesis every connecting partition evaluates to the full expectation,
+    so the Mobius sum factors.
+    """
+    m = Monomial(tuple(letters))
+    if not lattice_path(m).star_axis:
+        raise DomainError("shortcut cumulant needs the star-axis property")
+    weight, _connected = connectivity_multiplier(letters)
+    graph = letters[0].word.graph
+    return expectation(reduce_monomial(m, CK), graph).scale(weight)
+
+
 def freeness_scan_by_brute_force(a: RandomVariable, b: RandomVariable, max_order: int):
     """The scan of ``mixed_cumulants_vanish``, every cumulant summed afresh by
     ``uncached_cumulant``: (True, None), or (False, (order, pattern, value))
@@ -299,6 +340,41 @@ def random_variable(
         )
         items.append(((w, star), c))
     return RandomVariable(graph, items)
+
+
+def _nonzero_coefficient(rng: random.Random, real: bool = False) -> ExactComplex:
+    # The grid of random_variable less 0: the imaginary part, drawn last,
+    # is nonzero whenever the real part is 0.
+    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    if real:
+        return ExactComplex.of(re or Fraction(rng.choice((-1, 1)), rng.randint(1, 3)))
+    im = rng.randint(-2, 2) if re else rng.choice((-2, -1, 1, 2))
+    return ExactComplex(re, Fraction(im, rng.randint(1, 2)))
+
+
+def nonzero_variable(
+    graph: Graph,
+    rng: random.Random,
+    words: Sequence[PathWord],
+    max_terms: int = 4,
+    self_adjoint: bool = False,
+) -> RandomVariable:
+    """A variable that cannot be zero: distinct terms over ``words``, each
+    with a nonzero coefficient, so none cancels.  Vertex words give diagonal
+    parts.  A self-adjoint variable takes up to ``max_terms`` distinct words,
+    c L[w] + conj(c) L*[w] for a path and a real c L[v] for a vertex; any
+    other takes up to ``max_terms`` distinct (word, star) terms."""
+    if self_adjoint:
+        items = []
+        for w in rng.sample(list(words), rng.randint(1, min(max_terms, len(words)))):
+            c = _nonzero_coefficient(rng, real=w.is_vertex)
+            items.append(((w, False), c))
+            if not w.is_vertex:
+                items.append(((w, True), c.conjugate()))
+        return RandomVariable(graph, items)
+    keys = [(w, star) for w in words for star in (False, True) if not (star and w.is_vertex)]
+    chosen = rng.sample(keys, rng.randint(1, min(max_terms, len(keys))))
+    return RandomVariable(graph, [(key, _nonzero_coefficient(rng)) for key in chosen])
 
 
 @st.composite
