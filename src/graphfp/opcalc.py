@@ -471,13 +471,6 @@ class RandomVariable(_Combination):
     def paired_loops_at(self, v: str) -> set[PathWord]:
         return {w for w in self.loops_at(v) if w in self.paired_path_support()}
 
-    def diagonal(self) -> DiagonalElement:
-        """The vertex component as a DiagonalElement."""
-        return DiagonalElement(
-            self.graph,
-            {w.vertex: c for (w, _s), c in self.terms.items() if w.is_vertex},
-        )
-
     def __repr__(self) -> str:
         bits = []
         for (w, s), c in sorted(

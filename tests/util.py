@@ -99,6 +99,13 @@ def unit_variable(graph: Graph) -> RandomVariable:
     )
 
 
+def diagonal_part(x: RandomVariable) -> DiagonalElement:
+    """The vertex component of x, read off its vertex-word terms."""
+    return DiagonalElement(
+        x.graph, {w.vertex: c for (w, _s), c in x.terms.items() if w.is_vertex}
+    )
+
+
 def coefficient(x: RandomVariable, word: PathWord, star: bool = False) -> ExactComplex:
     """The coefficient of L[word] (L*[word] when star) in x."""
     return x.terms.get((word, star and not word.is_vertex), ExactComplex.of(0))
