@@ -19,7 +19,7 @@ from .freeprob import (
     freeness_certificate,
     mixed_cumulants_vanish,
     moment,
-    partition_moment,
+    partition_moments,
     trivial_cumulant,
 )
 from .graph import (
@@ -105,7 +105,7 @@ __all__ = [
     "multiply",
     "parse_letters",
     "parse_rational",
-    "partition_moment",
+    "partition_moments",
     "path_word",
     "primitive_root",
     "reduce_monomial",

@@ -20,9 +20,10 @@ from typing import Sequence
 from .compress import compressed_moment_series, compressed_r_transform, diagonal_compress
 from .errors import DomainError, FormatError
 from .fock import basis_size, verify_relations
-from .freeprob import classify, cumulant, freeness_certificate, mixed_cumulants_vanish, moment
+from .freeprob import classify, cumulant, freeness_certificate, mixed_cumulants_vanish
+from .freeprob import moment, partition_moments
 from .graph import Graph, enumerate_paths, load_graph, word_tokens
-from .ncpart import NoncrossingPartition, enumerate_nc, mobius
+from .ncpart import NoncrossingPartition, enumerate_nc, mobius, top_weights
 from .opcalc import (
     CK,
     TOEPLITZ,
@@ -41,10 +42,11 @@ from .opcalc import (
 )
 from .scalars import ExactComplex, format_rational
 
-# Desk-scale bounds: the cumulant report sums over NC(n), the freeness scan
-# runs the first-block recursion over the {a, a*, b, b*} patterns of each
-# order (4^n of them, half skipped as mirrors), and the oracle's basis and
-# the path listing hold every word of length <= the bound.
+# Desk-scale bounds: cumulant and classify values come from the first-block
+# recursion, and cumulant --contributions evaluates every partition of
+# NC(n); the freeness scan runs the recursion over the {a, a*, b, b*}
+# patterns of each order (4^n of them, half skipped as mirrors), and the
+# oracle's basis and the path listing hold every word of length <= the bound.
 ORDER_LIMIT = 8
 FREE_ORDER_LIMIT = 6
 NC_LIMIT = 10
@@ -189,19 +191,20 @@ def _cmd_cumulant(args):
     var = _load_variable(args.var)
     _require_order(args.n, ORDER_LIMIT, "cumulant order")
     ds = _load_diagonals(args.d, var.graph, args.n)
-    report = cumulant([var] * args.n, ds)
-    payload = {"n": args.n, "value": diagonal_to_json(report.value)}
-    lines = [f"n = {args.n}"] + _diag_lines(report.value)
+    value = cumulant([var] * args.n, ds)
+    payload = {"n": args.n, "value": diagonal_to_json(value)}
+    lines = [f"n = {args.n}"] + _diag_lines(value)
     if args.contributions:
-        entries = []
-        for part in sorted(report.contributions, key=lambda p: (len(p.blocks), p.blocks)):
-            entries.append(
-                {
-                    "partition": [list(b) for b in part.blocks],
-                    "mobius": str(report.weights[part]),
-                    "value": diagonal_to_json(report.contributions[part]),
-                }
-            )
+        moments = partition_moments([var] * args.n, ds)
+        weights = dict(zip(moments, top_weights(args.n)))
+        entries = [
+            {
+                "partition": [list(b) for b in part.blocks],
+                "mobius": str(weights[part]),
+                "value": diagonal_to_json(moments[part]),
+            }
+            for part in sorted(moments, key=lambda p: (len(p.blocks), p.blocks))
+        ]
         payload["contributions"] = entries
         lines.append(f"contributions: {len(entries)} partitions")
     return payload, lines

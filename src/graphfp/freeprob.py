@@ -7,16 +7,17 @@ each then an interval of the surviving positions: its bracket is evaluated
 under E and the resulting diagonal value is spliced in as a left multiplier
 of the next surviving position; values of blocks with nothing to their right
 multiply into the final answer.  The order is immaterial because E is a
-bimodule map over the diagonal, E(d X d') = d E(X) d'.  ``cumulant`` sums
-the partition moments over NC(n) with their Mobius weights, so its report
-shows every partition.  All other cumulant values come from the first-block
-recursion (Speicher): with V = {1 = i1 < ... < is} the block of 1,
+bimodule map over the diagonal, E(d X d') = d E(X) d'.  Every cumulant
+value, ``cumulant`` and ``trivial_cumulant`` included, comes from the
+first-block recursion (Speicher): with V = {1 = i1 < ... < is} the block of 1,
 
     k_n(x1, ..., xn) = E(x1 ... xn)
         - sum over V != [n] of k_s(x1, D2 x_i2, ..., Ds x_is) E(x_(is+1) ... xn),
 
 Dt being E of the gap in front of x_it times that slot's own diagonal, split
-into vertex projections since D is the functions on the vertices.
+into vertex projections since D is the functions on the vertices.  Only
+``partition_moments`` walks NC(n): it evaluates E along every partition, for
+the CLI's ``--contributions``, and sums nothing.
 
 A block's value depends only on its variables and the diagonals pending in
 front of them, so each top-level call (a cumulant, a freeness scan, a
@@ -30,8 +31,10 @@ differ, a chain product keeps its first factor's left vertex and its last
 factor's right vertex, and E reads only (v, v) forms.  The recursion is
 multilinear in each slot, so by induction on the order a cumulant is zero,
 term choice by term choice, unless one term per slot chains into a closed
-walk of vertices; no associativity is assumed.  A table checks that once per
-call and returns zero without a product when no choice closes.
+walk of vertices; no associativity is assumed.  A diagonal d in front of a
+slot keeps only the terms whose left vertex lies in the support of d.  A
+table checks that once per call and returns zero without a product when no
+choice closes.
 
 ``moment`` and the compressed moment series build their chain directly and
 prune it by grading.  A normal form L[alpha] L*[beta] has grading
@@ -70,7 +73,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .graph import Graph, diagram_distinct_sets
-from .ncpart import NoncrossingPartition, enumerate_nc, top_weights
+from .ncpart import NoncrossingPartition, enumerate_nc
 from .opcalc import (
     DiagonalElement,
     Element,
@@ -87,8 +90,7 @@ from .scalars import ONE
 
 __all__ = [
     "moment",
-    "partition_moment",
-    "CumulantReport",
+    "partition_moments",
     "cumulant",
     "trivial_cumulant",
     "FreenessWitness",
@@ -109,6 +111,9 @@ def _check_slots(
         return [None] * len(variables)
     if len(diagonals) != len(variables):
         raise DomainError("one diagonal multiplier per variable slot")
+    graph = _graph_of(variables[0])
+    if any(d is not None and d.graph != graph for d in diagonals):
+        raise DomainError("cannot multiply elements over different graphs")
     return list(diagonals)
 
 
@@ -175,14 +180,9 @@ def moment(
     return expectation(out)
 
 
-@dataclass
-class CumulantReport:
-    """Cumulant value plus its per-partition decomposition."""
-
-    order: int
-    value: DiagonalElement
-    contributions: dict[NoncrossingPartition, DiagonalElement]
-    weights: dict[NoncrossingPartition, int]
+def _pending(d: DiagonalElement | None) -> frozenset | None:
+    # A key's pending diagonal: None for the unit, else the entries of d.
+    return None if d is None else frozenset(d.entries.items())
 
 
 class _ChainProducts:
@@ -192,10 +192,10 @@ class _ChainProducts:
     position.  The slot is the position of the variable in the call's list
     of distinct variables, found by identity rather than ``id``, which a
     freed temporary can hand on.  The pending diagonal is None or the
-    entries of the diagonal standing in front of the variable; in the keys
-    of the first-block recursion it is None or one vertex projection.  A
-    table and its memo of cumulants live only as long as the call that
-    made it.
+    entries of the diagonal standing in front of the variable: a given
+    diagonal, a block value spliced in, or in the recursion's own keys one
+    vertex projection.  A table and its memo of cumulants live only as long
+    as the call that made it.
     """
 
     def __init__(self) -> None:
@@ -300,35 +300,44 @@ class _ChainProducts:
         value = self._cumulants[key] = {v: c for v, c in value.items() if not c.is_zero()}
         return value
 
-    def kappa(self, variables: Sequence[Element]) -> DiagonalElement:
-        """k_n(a1, ..., an) with unit diagonal slots, by the recursion."""
-        _check_slots(variables, None)
+    def kappa(
+        self,
+        variables: Sequence[Element],
+        diagonals: Sequence[DiagonalElement | None] | None = None,
+    ) -> DiagonalElement:
+        """k_n(d1 a1, ..., dn an), by the recursion; a ``None`` diagonal
+        slot is the unit."""
+        ds = _check_slots(variables, diagonals)
         slots = [self._slot(x) for x in variables]
+        corners = [self._corners[slot] for slot in slots]
+        if diagonals is not None:
+            # A diagonal projects away the corners whose left vertex lies
+            # outside its support; the key holds its entries.
+            corners = [
+                c if d is None else {u: ws for u, ws in c.items() if u in d.entries}
+                for c, d in zip(corners, ds)
+            ]
+            ds = [_pending(d) for d in ds]
         # The (start, end) vertices of the walks that one term per slot
         # chains into; the cumulant is zero unless one of them closes.
-        walks = {(u, w) for u, ws in self._corners[slots[0]].items() for w in ws}
-        for slot in slots[1:]:
-            corners = self._corners[slot]
-            walks = {(u, w) for u, v in walks for w in corners.get(v, ())}
+        walks = {(u, w) for u, ws in corners[0].items() for w in ws}
+        for slot_corners in corners[1:]:
+            walks = {(u, w) for u, v in walks for w in slot_corners.get(v, ())}
         graph = _graph_of(variables[0])
         if not any(u == w for u, w in walks):
             return DiagonalElement.zero(graph)
-        key = tuple((slot, None) for slot in slots)
+        key = tuple(zip(slots, ds))
         return DiagonalElement(graph, self._kappa(key))
 
     def partition_moment(
         self,
         partition: NoncrossingPartition,
-        items: Sequence[tuple[DiagonalElement | None, Element]],
+        variables: Sequence[Element],
+        diagonals: Sequence[DiagonalElement | None],
     ) -> DiagonalElement:
-        n = len(items)
-        if partition.n != n:
-            raise DomainError(f"partition of {partition.n} against {n} slots")
-        graph = _graph_of(items[0][1])
-        slots = [self._slot(a) for _d, a in items]
-        pending = [d for d, _a in items]
-        if any(d is not None and d.graph != graph for d in pending):
-            raise DomainError("cannot multiply elements over different graphs")
+        n = len(variables)
+        slots = [self._slot(x) for x in variables]
+        pending = list(diagonals)
         # after[i]: the first live position to the right of position i (n: none).
         after = list(range(1, n + 1))
         closed: DiagonalElement | None = None
@@ -337,14 +346,11 @@ class _ChainProducts:
         # positions; every position before it is still live.
         for block in reversed(partition.blocks):
             first, last = block[0] - 1, block[-1] - 1
-            key = []
-            for j in block:
-                d = pending[j - 1]
-                key.append((slots[j - 1], None if d is None else frozenset(d.entries.items())))
-            value = self._block_value(tuple(key))
+            key = tuple((slots[j - 1], _pending(pending[j - 1])) for j in block)
+            value = self._block_value(key)
             if value.is_zero():
                 # A zero block value annihilates its enclosing bracket.
-                return DiagonalElement.zero(graph)
+                return DiagonalElement.zero(value.graph)
             nxt = after[last]
             if nxt < n:
                 cur = pending[nxt]
@@ -354,41 +360,33 @@ class _ChainProducts:
             if first:
                 after[first - 1] = nxt
         assert closed is not None
-        return DiagonalElement(graph, dict(closed.entries))
+        return DiagonalElement(closed.graph, dict(closed.entries))
 
 
-def partition_moment(
-    partition: NoncrossingPartition,
-    items: Sequence[tuple[DiagonalElement | None, Element]],
-) -> DiagonalElement:
-    """Evaluate E along a noncrossing partition of the slot positions."""
-    return _ChainProducts().partition_moment(partition, items)
+def partition_moments(
+    variables: Sequence[Element],
+    diagonals: Sequence[DiagonalElement | None] | None = None,
+) -> dict[NoncrossingPartition, DiagonalElement]:
+    """E(d1 a1 ... dn an) along every partition of ``enumerate_nc(n)``, in
+    that order, from one table of chain products.  ``ncpart.top_weights(n)``
+    gives the Mobius weights that sum them to the cumulant."""
+    ds = _check_slots(variables, diagonals)
+    table = _ChainProducts()
+    return {p: table.partition_moment(p, variables, ds) for p in enumerate_nc(len(ds))}
 
 
 def cumulant(
     variables: Sequence[Element],
     diagonals: Sequence[DiagonalElement | None] | None = None,
-) -> CumulantReport:
-    """n-th amalgamated cumulant by Mobius inversion over all of NC(n)."""
-    ds = _check_slots(variables, diagonals)
-    n = len(variables)
-    table = _ChainProducts()
-    items = list(zip(ds, variables))
-    value = DiagonalElement.zero(_graph_of(variables[0]))
-    contributions: dict[NoncrossingPartition, DiagonalElement] = {}
-    weights: dict[NoncrossingPartition, int] = {}
-    for p, weight in zip(enumerate_nc(n), top_weights(n)):
-        contrib = table.partition_moment(p, items)
-        contributions[p] = contrib
-        weights[p] = weight
-        if not contrib.is_zero():
-            value = value + contrib.scale(weight)
-    return CumulantReport(n, value, contributions, weights)
+) -> DiagonalElement:
+    """k_n(d1 a1, ..., dn an), the n-th amalgamated cumulant; a ``None``
+    diagonal slot is the unit."""
+    return _ChainProducts().kappa(variables, diagonals)
 
 
 def trivial_cumulant(variable: Element, n: int) -> DiagonalElement:
     """k_n(a, ..., a) with unit diagonal slots."""
-    return _ChainProducts().kappa([variable] * n)
+    return cumulant([variable] * n)
 
 
 def _unmirrored_patterns(k: int, n: int) -> Iterator[tuple[int, ...]]:

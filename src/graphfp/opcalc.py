@@ -499,12 +499,9 @@ def to_general(x: Element) -> GeneralElement:
     if isinstance(x, GeneralElement):
         return x
     if isinstance(x, DiagonalElement):
-        return GeneralElement(
-            x.graph,
-            [
-                (Pair(vertex_word(x.graph, v), vertex_word(x.graph, v)), c)
-                for v, c in x.entries.items()
-            ],
+        # Each vertex projection is the vertex letter L[v].
+        x = RandomVariable(
+            x.graph, [((vertex_word(x.graph, v), False), c) for v, c in x.entries.items()]
         )
     if isinstance(x, GeneratorLetter):
         x = Monomial((x,))

@@ -114,7 +114,7 @@ def test_criterion_02_cumulant_shortcut_agreement(h, h_letters):
         for combo in product(letters, repeat=n):
             if not lattice_path(Monomial(combo)).star_axis:
                 continue
-            direct = cumulant([_var(x) for x in combo]).value
+            direct = cumulant([_var(x) for x in combo])
             if cumulant_via_multiplier(list(combo)) != direct:
                 _verdict(2, "cumulant shortcut agreement", False, f"tuple {Monomial(combo)}")
             checked += 1
@@ -163,7 +163,7 @@ def test_criterion_03_loop_semicircularity(h):
         if lattice_path(Monomial(pair)).star_axis:
             k2_shortcut = k2_shortcut + cumulant_via_multiplier(list(pair))
         else:
-            assert cumulant([_var(x) for x in pair]).value.is_zero()
+            assert cumulant([_var(x) for x in pair]).is_zero()
     if not (k2_inversion == two and k2_shortcut == two):
         problems.append(f"k2 inversion {_fmt(k2_inversion)} shortcut {_fmt(k2_shortcut)}")
 
@@ -202,7 +202,7 @@ def test_criterion_04_evenness_and_r_diagonality(h):
             )
             if alternating:
                 continue
-            value = cumulant([e_a if s else e_c for s in pattern]).value
+            value = cumulant([e_a if s else e_c for s in pattern])
             if not value.is_zero():
                 problems.append(f"non-alternating cumulant {pattern} = {_fmt(value)}")
     _verdict(4, "evenness and R-diagonality", not problems, "; ".join(problems))

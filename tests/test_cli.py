@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,33 @@ def test_cumulant_at_the_order_bound(capsys):
     doc = _json_of(["cumulant", "--var", _d("a_loop.json"), "-n", "8"], capsys)
     assert _arcsine_cumulant(8) == -10
     assert doc == {"n": 8, "value": {"v1": {"im": "0", "re": "-10"}}}
+
+
+def _scalars(value: dict) -> dict:
+    return {v: (Fraction(c["re"]), Fraction(c["im"])) for v, c in value.items()}
+
+
+@pytest.mark.parametrize(
+    "inputs, want",
+    [
+        (["--var", _d("compressvar.json")], {"v1": (-10, 0)}),
+        (["--var", _d("a_loop.json"), "--d", _d("d_half.json")], {"v1": (-5, 0)}),
+    ],
+    ids=["compressvar", "a_loop_d_half"],
+)
+def test_contributions_sum_to_the_printed_cumulant(inputs, want, capsys):
+    # The value comes from the first-block recursion and the contributions
+    # from the partition moments over NC(8): their Mobius-weighted sum must
+    # be the printed value.
+    doc = _json_of(["cumulant", *inputs, "-n", "8", "--contributions"], capsys)
+    assert len(doc["contributions"]) == catalan(8)
+    total: dict = {}
+    for entry in doc["contributions"]:
+        weight = int(entry["mobius"])
+        for v, (re, im) in _scalars(entry["value"]).items():
+            old = total.get(v, (0, 0))
+            total[v] = (old[0] + weight * re, old[1] + weight * im)
+    assert {v: c for v, c in total.items() if c != (0, 0)} == _scalars(doc["value"]) == want
 
 
 def test_rtransform_series_at_the_order_bound(capsys):

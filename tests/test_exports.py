@@ -27,6 +27,10 @@ TEST_ONLY_HELPERS = (
     "star_axis_property",
 )
 
+# Names that cumulant's NC(n) sum needed and that partition_moments and
+# ncpart.top_weights replace: neither may come back.
+REMOVED_NAMES = ("CumulantReport", "partition_moment")
+
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
@@ -37,6 +41,6 @@ def test_every_exported_name_resolves(module):
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_test_only_helpers_are_not_exported(module):
-    for name in TEST_ONLY_HELPERS:
+    for name in TEST_ONLY_HELPERS + REMOVED_NAMES:
         assert name not in getattr(module, "__all__", ())
         assert not hasattr(module, name)

@@ -1,5 +1,5 @@
 """Shared test helpers: independent oracles, a seeded variable generator and
-a strategy for random branching multigraphs.
+strategies for random graphs with and without a branching vertex.
 
 Everything here is deliberately naive.  The point is to cross-check the
 engine against implementations that share no code with it.
@@ -36,7 +36,7 @@ from graphfp import (
     lattice_path,
     load_graph,
     moment,
-    partition_moment,
+    partition_moments,
     reduce_monomial,
     vertex_word,
 )
@@ -238,7 +238,7 @@ def nested_cumulant(
     """k_pi with splice semantics: eliminate interval blocks innermost-first,
     valuing each bracket with the engine cumulant."""
     return _eliminate_interval_blocks(
-        partition, variables, [None] * len(variables), lambda vs, ds: cumulant(vs, ds).value
+        partition, variables, [None] * len(variables), cumulant
     )
 
 
@@ -246,7 +246,7 @@ def partition_moment_by_interval_search(
     partition: NoncrossingPartition, items: Sequence[tuple]
 ) -> DiagonalElement:
     """E along a noncrossing partition by the interval search, each bracket
-    a plain ``moment``.  The oracle for ``partition_moment``, which visits
+    a plain ``moment``.  The oracle for ``partition_moments``, which visits
     the blocks in another order and splices values into other slots."""
     return _eliminate_interval_blocks(
         partition, [a for _d, a in items], [d for d, _a in items], moment
@@ -269,9 +269,7 @@ def is_partition_connected(
     partition: NoncrossingPartition, letters: Sequence[GeneratorLetter]
 ) -> bool:
     """True when the partition moment of the letter tuple is nonzero."""
-    return not partition_moment(
-        partition, [(None, letter) for letter in letters]
-    ).is_zero()
+    return not partition_moments(letters)[partition].is_zero()
 
 
 def connectivity_multiplier(
@@ -280,9 +278,10 @@ def connectivity_multiplier(
     """Sum of Mobius weights over the partitions that connect the letters."""
     if not letters:
         raise DomainError("need at least one letter")
-    report = cumulant(letters)
-    connected = [p for p, contrib in report.contributions.items() if not contrib.is_zero()]
-    return sum(report.weights[p] for p in connected), connected
+    moments = partition_moments(letters)
+    weights = dict(zip(moments, top_weights(len(letters))))
+    connected = [p for p, value in moments.items() if not value.is_zero()]
+    return sum(weights[p] for p in connected), connected
 
 
 def cumulant_via_multiplier(letters: Sequence[GeneratorLetter]) -> DiagonalElement:
@@ -393,6 +392,21 @@ def branching_graphs(draw):
     for _ in range(draw(st.integers(0, 2))):
         ends.append((draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices))))
     edges = [{"id": f"e{k}", "src": s, "dst": t} for k, (s, t) in enumerate(ends)]
+    return load_graph({"vertices": vertices, "edges": edges})
+
+
+@st.composite
+def unbranched_graphs(draw):
+    """Small random graphs with no branching vertex: a cycle v0 -> v1 -> ...
+    -> v0 of length 1 to 3, and sometimes a tail of one or two edges that
+    runs into it.  Every vertex has exactly one out-edge."""
+    k, tail = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    vertices = [f"v{i}" for i in range(k + tail)]
+    ends = [(vertices[i], vertices[(i + 1) % k]) for i in range(k)]
+    ends += [(vertices[i], vertices[i + 1]) for i in range(k, k + tail - 1)]
+    if tail:
+        ends.append((vertices[-1], draw(st.sampled_from(vertices[:k]))))
+    edges = [{"id": f"e{j}", "src": s, "dst": t} for j, (s, t) in enumerate(ends)]
     return load_graph({"vertices": vertices, "edges": edges})
 
 
