@@ -25,15 +25,11 @@ from .freeprob import (
 from .graph import (
     Graph,
     concat,
-    diagram,
-    diagram_distinct,
-    diagram_distinct_sets,
     enumerate_paths,
     graph_to_json,
     load_graph,
     make_word,
     path_word,
-    primitive_root,
     vertex_word,
     word_tokens,
 )
@@ -86,9 +82,6 @@ __all__ = [
     "creation",
     "cumulant",
     "diagonal_compress",
-    "diagram",
-    "diagram_distinct",
-    "diagram_distinct_sets",
     "enumerate_nc",
     "enumerate_paths",
     "expectation",
@@ -107,7 +100,6 @@ __all__ = [
     "parse_rational",
     "partition_moments",
     "path_word",
-    "primitive_root",
     "reduce_monomial",
     "to_general",
     "trivial_cumulant",

@@ -72,7 +72,7 @@ from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .graph import Graph, diagram_distinct_sets
+from .graph import Graph
 from .ncpart import NoncrossingPartition, enumerate_nc
 from .opcalc import (
     DiagonalElement,
@@ -443,11 +443,29 @@ def mixed_cumulants_vanish(
 
 
 def freeness_certificate(a: RandomVariable, b: RandomVariable) -> bool:
-    """Sufficient condition: certified free when the path supports are
-    diagram-distinct across the pair.  False means unknown, not not-free."""
+    """Sufficient condition for freeness over D, read off the path supports;
+    vertex terms lie in D, and a cumulant of order >= 2 with an argument in
+    D is zero.  Certified when (i) the word endpoints of the two supports
+    are disjoint, or (ii) the supports share no edge and no vertex on an
+    edge of both has two or more out-edges.  Under (i) every term of a and
+    a* sits in a corner of a's endpoints and every term of b and b* in one
+    of b's, so no mixed pattern chains into a closed walk (see the module
+    docstring); (ii) is checked by tests, not proved.  Either clause keeps
+    the CLI's label "diagram-distinct" true: two words with one path or
+    primitive loop share an edge and an endpoint.  False means unknown,
+    not not-free."""
     if a.graph != b.graph:
         raise DomainError("variables live over different graphs")
-    return diagram_distinct_sets(a.path_support(), b.path_support())
+    graph = a.graph
+    ends, edges, visits = [], [], []
+    for support in (a.path_support(), b.path_support()):
+        ends.append({v for w in support for v in (w.source, w.target)})
+        edges.append({graph.edge(e) for w in support for e in w.edges})
+        visits.append({v for e in edges[-1] for v in (e.src, e.dst)})
+    if not ends[0] & ends[1]:
+        return True
+    branching = [v for v in visits[0] & visits[1] if len(graph.out_edges(v)) > 1]
+    return not edges[0] & edges[1] and not branching
 
 
 def _support_hint(a: RandomVariable) -> str:

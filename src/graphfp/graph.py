@@ -10,7 +10,7 @@ All values in this module are immutable; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, FormatError
 
@@ -26,10 +26,6 @@ __all__ = [
     "word_tokens",
     "concat",
     "enumerate_paths",
-    "primitive_root",
-    "diagram",
-    "diagram_distinct",
-    "diagram_distinct_sets",
 ]
 
 
@@ -244,40 +240,3 @@ def enumerate_paths(graph: Graph, max_len: int) -> list[PathWord]:
         frontier = grown
     return out
 
-
-def primitive_root(word: PathWord) -> PathWord:
-    """The shortest loop whose concatenation power equals the given loop."""
-    if not word.is_loop:
-        raise DomainError("primitive_root is defined for loops only")
-    n = word.length
-    for d in range(1, n + 1):
-        if n % d != 0:
-            continue
-        if word.edges == word.edges[:d] * (n // d):
-            return path_word(word.graph, word.edges[:d])
-    raise AssertionError("unreachable: a loop is its own period")
-
-
-def diagram(word: PathWord) -> PathWord:
-    """Reduced shape of a path: primitive root for loops, the path itself
-    otherwise.  Vertex words are rejected."""
-    if word.is_vertex:
-        raise DomainError("diagram is defined for paths, not vertex words")
-    return primitive_root(word) if word.is_loop else word
-
-
-def diagram_distinct(w1: PathWord, w2: PathWord) -> bool:
-    """True when the two paths have different diagrams."""
-    _same_graph(w1, w2)
-    return diagram(w1) != diagram(w2)
-
-
-def diagram_distinct_sets(
-    words1: Iterable[PathWord], words2: Iterable[PathWord]
-) -> bool:
-    """True when every pair across the two sets is diagram-distinct.
-
-    Vacuously true when either set is empty.
-    """
-    ws2 = list(words2)
-    return all(diagram_distinct(a, b) for a in words1 for b in ws2)

@@ -315,23 +315,31 @@ def test_criterion_09_compressed_freeness_preservation(h, selfloops, tri):
     rng = random.Random(103)
     failures = []
 
-    # Pairs certified free by diagram-distinct supports, then compressed.
+    # Pairs drawn from fixed supports, then compressed.  The premise, that
+    # a pair is free over D, comes from the scan of the pair itself; a draw
+    # without it is skipped and counted, and a certified draw must have it.
     pools = [
         (["e1"], ["e2"]),
         ([("e1", "e2")], [("e2", "e1")]),
         (["e1", ("e1", "e2")], ["e2"]),
     ]
+    kept, skipped = [], 0
     for pa, pb in pools:
         words_a = [path_word(h, list(w) if isinstance(w, tuple) else [w]) for w in pa]
         words_b = [path_word(h, list(w) if isinstance(w, tuple) else [w]) for w in pb]
+        kept.append(0)
         for _ in range(3):
             a = random_variable(h, rng, max_terms=2, words=words_a)
             b = random_variable(h, rng, max_terms=2, words=words_b)
             if not (a.path_support() and b.path_support()):
                 continue
-            if not freeness_certificate(a, b):
-                failures.append(f"certificate lost on supports {pa} vs {pb}")
+            free, _w = mixed_cumulants_vanish(a, b, max_order=4)
+            if freeness_certificate(a, b) and not free:
+                failures.append(f"certified but not free on supports {pa} vs {pb}")
+            if not free:
+                skipped += 1
                 continue
+            kept[-1] += 1
             for v0 in h.vertices:
                 xa = compress_vertex(a, v0)
                 xb = compress_vertex(b, v0)
@@ -360,11 +368,13 @@ def test_criterion_09_compressed_freeness_preservation(h, selfloops, tri):
             ok, w = mixed_cumulants_vanish(xa, xb, max_order=4)
             if not ok:
                 failures.append(f"split {v1}/{v2} on {g.vertices}: order {w.order}")
+    if not all(kept):
+        failures.append(f"a pool kept no free draw: {kept}")
     _verdict(
         9,
         "compressed freeness preservation",
         not failures,
-        "; ".join(failures[:3]),
+        "; ".join(failures[:3]) or f"free draws per pool {kept}, {skipped} not free skipped",
     )
 
 

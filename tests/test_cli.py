@@ -158,6 +158,43 @@ def test_domain_errors_exit_three(capsys):
         assert err
 
 
+def test_moment_refuses_more_diagonal_files_than_slots(capsys):
+    d = _d("d_half.json")
+    argv = ["moment", "--var", _d("a_loop.json"), "-n", "1", "--d", d, "--d", d]
+    code, out, err = _run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "got 2 diagonal files for order 1" in err
+
+
+def test_compress_refuses_an_empty_vertex_list(capsys):
+    code, out, err = _run(["compress", "--var", _d("compressvar.json"), "--vertices", ","], capsys)
+    assert code == 2
+    assert out == ""
+    assert "no vertices given" in err
+
+
+def test_table_of_a_zero_expectation(capsys):
+    # L[e1] has no vertex component, so its expectation is zero.
+    code, out, _err = _run(["expect", "--var", _d("e1_only.json"), "--format", "table"], capsys)
+    assert code == 0
+    assert out == "(zero)\n"
+
+
+def test_classify_support_hints(tmp_path, capsys):
+    # compressvar mixes the loops e1 e2 and e2 e1 with the non-loop e1; a
+    # variable of vertex terms alone lies in the diagonal.
+    doc = _json_of(["classify", "--var", _d("compressvar.json"), "--max-order", "2"], capsys)
+    assert doc["support"] == "mixed paths"
+    diagonal = tmp_path / "diagonal.json"
+    diagonal.write_text(json.dumps({
+        "graph": json.loads((DATA / "h.json").read_text()),
+        "terms": [{"word": ["v1"], "star": False, "re": "2", "im": "0"}],
+    }))
+    doc = _json_of(["classify", "--var", str(diagonal), "--max-order", "2"], capsys)
+    assert doc["support"] == "diagonal"
+
+
 def test_oracle_refuses_a_basis_above_the_bound(capsys):
     # Two loops at one vertex give 2^(k+1) - 1 words of length <= k: 4095 at
     # k = 11 is within the bound of 4096, and k = 12 is the first above it.

@@ -28,8 +28,16 @@ TEST_ONLY_HELPERS = (
 )
 
 # Names that cumulant's NC(n) sum needed and that partition_moments and
-# ncpart.top_weights replace: neither may come back.
-REMOVED_NAMES = ("CumulantReport", "partition_moment")
+# ncpart.top_weights replace, and the path-diagram functions of the former
+# freeness certificate: none may come back.
+REMOVED_NAMES = (
+    "CumulantReport",
+    "partition_moment",
+    "diagram",
+    "diagram_distinct",
+    "diagram_distinct_sets",
+    "primitive_root",
+)
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

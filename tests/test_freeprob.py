@@ -906,8 +906,9 @@ def test_disjoint_edge_letters_are_free(h):
 
 
 def test_certified_pairs_have_vanishing_mixed_cumulants(h):
-    # Soundness on a small corpus: supports {e1 words} vs {e2 words} are
-    # diagram-distinct, so every mixed cumulant must vanish.
+    # Soundness on a small corpus: supports {e1 words} vs {e2 words} share
+    # no edge, and no vertex of h has two out-edges (clause (ii)), so every
+    # mixed cumulant must vanish.
     rng = random.Random(41)
     pool_a = [path_word(h, ["e1"])]
     pool_b = [path_word(h, ["e2"])]
@@ -935,23 +936,17 @@ def test_loop_and_its_square_are_not_free(h):
     assert not witness.value.is_zero()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known fault: the CK rewrite is not associative at the branching "
-    "vertex x of tri, so two loops based at x are certified free while "
-    "k4(a, b, b, a) = -L[x]",
-)
-def test_certificate_implies_vanishing_mixed_cumulants_at_a_branching_vertex(tri):
+def test_certificate_refuses_loops_at_a_branching_vertex(tri):
+    # The loops sx and a b c share no edge, but both are based at x, which
+    # has two out-edges: neither clause holds, and the pair is not free.
     a = _var(_c(tri, "sx")) + _var(_a(tri, "sx"))
     b = _var(_c(tri, "a", "b", "c")) + _var(_a(tri, "a", "b", "c"))
-    assert freeness_certificate(a, b)
-    assert mixed_cumulants_vanish(a, b, max_order=4) == (True, None)
+    assert not freeness_certificate(a, b)
 
 
 def test_scan_witness_at_the_branching_vertex(tri):
-    # The witness behind the strict xfail above, pinned exactly: the mirror
-    # skip must neither hide it nor change it.
+    # The witness that the certificate must not contradict, pinned exactly:
+    # the mirror skip must neither hide it nor change it.
     a = _var(_c(tri, "sx")) + _var(_a(tri, "sx"))
     b = _var(_c(tri, "a", "b", "c")) + _var(_a(tri, "a", "b", "c"))
     ok, witness = mixed_cumulants_vanish(a, b, max_order=4)
@@ -962,27 +957,22 @@ def test_scan_witness_at_the_branching_vertex(tri):
 
 def _pair_on_the_two_cycle(h):
     # No vertex of h branches, and the supports {e1 e2 e1} and
-    # {e2 e1, e1 e2} are diagram-distinct.
+    # {e2 e1, e1 e2} are diagram-distinct, but they share both edges.
     a = _var(_c(h, "e1", "e2", "e1")) + _var(_a(h, "e1", "e2", "e1"))
     b = _var(_c(h, "e2", "e1")) + _var(_a(h, "e2", "e1"))
     return a, b + _var(_c(h, "e1", "e2")) + _var(_a(h, "e1", "e2"))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="known fault: the diagram certificate is unsound beyond branching "
-    "vertices; on h, which has none, this pair is certified free while "
-    "k4(a, b, a, b) = 2 L[v1] + 2 L[v2]",
-)
-def test_certificate_implies_vanishing_mixed_cumulants_on_the_two_cycle(h):
+def test_certificate_refuses_the_edge_sharing_pair_on_the_two_cycle(h):
+    # Diagram-distinct supports alone once certified this pair; the word
+    # endpoints meet and the edges are shared, so neither clause holds.
     a, b = _pair_on_the_two_cycle(h)
-    assert freeness_certificate(a, b)
-    assert mixed_cumulants_vanish(a, b, max_order=4) == (True, None)
+    assert not freeness_certificate(a, b)
 
 
 def test_scan_witness_of_the_certified_pair_on_the_two_cycle(h):
-    # The witness behind the strict xfail above, and the NC(n) oracle agrees.
+    # The witness of the pair that diagram-distinct supports once certified,
+    # and the NC(n) oracle agrees.
     a, b = _pair_on_the_two_cycle(h)
     ok, witness = mixed_cumulants_vanish(a, b, max_order=4)
     assert not ok
@@ -1005,6 +995,70 @@ def test_diagonal_variables_are_free_from_everything(h):
     assert freeness_certificate(d, a)
     ok, _w = mixed_cumulants_vanish(d, a, max_order=3)
     assert ok
+
+
+def _certificate_pair(g, rng) -> tuple[RandomVariable, RandomVariable]:
+    # Each variable takes one or two path words, mostly with their adjoints,
+    # and half the time a vertex term as well.  A third of the pairs draw
+    # both from every path.  A third split the edges in two and draw each
+    # variable from the paths on one part, so the supports share no edge and
+    # reach clause (ii).  A third split the vertices and draw each variable
+    # from the paths whose two endpoints lie in one part, for clause (i).
+    paths = [w for w in enumerate_paths(g, 3) if not w.is_vertex]
+    pools = (paths, paths)
+    mode = rng.randint(0, 2)
+    if mode == 1 and len(g.edges) > 1:
+        ids = [e.id for e in g.edges]
+        rng.shuffle(ids)
+        cut = rng.randint(1, len(ids) - 1)
+        pools = tuple([w for w in paths if set(w.edges) <= set(part)]
+                      for part in (ids[:cut], ids[cut:]))
+    elif mode == 2:
+        part = set(rng.sample(g.vertices, rng.randint(1, len(g.vertices) - 1)))
+        pools = tuple([w for w in paths if {w.source, w.target} <= side]
+                      for side in (part, set(g.vertices) - part))
+    if not all(pools):
+        pools = (paths, paths)
+    pair = []
+    for pool in pools:
+        x = nonzero_variable(g, rng, pool, 2, self_adjoint=rng.random() < 0.75)
+        if rng.random() < 0.5:
+            x = x + nonzero_variable(g, rng, [vertex_word(g, v) for v in g.vertices], 1)
+        pair.append(x)
+    return tuple(pair)
+
+
+def test_certified_pairs_scan_free_to_order_five():
+    # The certificate is sound only if no certified pair has a nonvanishing
+    # mixed cumulant.  Clause (i) follows from the closed-walk argument and
+    # clause (ii) is checked here.  Both variables always carry paths; each
+    # family floors its certified examples, and the unbranched family, where
+    # clause (ii) certifies pairs whose word endpoints meet, floors those.
+    certified: dict[str, list[bool]] = {}
+    by_clause_two: dict[str, list[bool]] = {}
+    for family, examples in ((branching_graphs, 150), (unbranched_graphs, 80)):
+        counts = certified[family.__name__] = []
+        second = by_clause_two[family.__name__] = []
+
+        @settings(max_examples=examples, deadline=None)
+        @given(family(), st.randoms(use_true_random=False))
+        def check(g, rng):
+            # One vertex is every word's endpoint: nothing there is certified.
+            assume(len(g.vertices) >= 2)
+            a, b = _certificate_pair(g, rng)
+            counts.append(freeness_certificate(a, b))
+            if not counts[-1]:
+                return
+            ends = [{v for w in x.path_support() for v in (w.source, w.target)} for x in (a, b)]
+            second.append(bool(ends[0] & ends[1]))
+            assert mixed_cumulants_vanish(a, b, 5) == (True, None)
+
+        check()
+    # Over 22 hypothesis seeds: 7-38 of the 150 branching examples were
+    # certified, and 24-56 of the 80 unbranched ones, 7-39 by clause (ii).
+    assert sum(certified["branching_graphs"]) >= 3, certified
+    assert sum(certified["unbranched_graphs"]) >= 10, certified
+    assert sum(by_clause_two["unbranched_graphs"]) >= 3, by_clause_two
 
 
 def test_freeness_checks_reject_mismatched_graphs(h, fork):

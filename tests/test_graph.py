@@ -1,4 +1,4 @@
-"""Graph loading, path words, enumeration order, and diagram distinctness."""
+"""Graph loading, path words and enumeration order."""
 
 from __future__ import annotations
 
@@ -8,29 +8,16 @@ from graphfp import (
     DomainError,
     FormatError,
     concat,
-    diagram,
-    diagram_distinct,
-    diagram_distinct_sets,
     enumerate_paths,
     graph_to_json,
     load_graph,
     make_word,
     path_word,
-    primitive_root,
     vertex_word,
     word_tokens,
 )
 
 from util import loop_power
-
-
-def _independent_root_length(edges: tuple[str, ...]) -> int:
-    """Smallest period of the sequence, checked naively."""
-    n = len(edges)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(edges[i] == edges[i % p] for i in range(n)):
-            return p
-    return n
 
 
 # -- loading ----------------------------------------------------------------
@@ -79,7 +66,7 @@ def test_vertex_word_properties(h):
 def test_path_admissibility(h):
     w = path_word(h, ["e1", "e2"])
     assert (w.source, w.target, w.length) == ("v1", "v1", 2)
-    assert w.is_loop and primitive_root(w) == w
+    assert w.is_loop
     with pytest.raises(DomainError):
         path_word(h, ["e1", "e1"])
     with pytest.raises(DomainError):
@@ -171,33 +158,3 @@ def test_enumerate_paths_counts_match_walk_matrix(tri):
         expected += sum(sum(row) for row in power)
     assert len(enumerate_paths(tri, 4)) == expected
 
-
-# -- diagrams ---------------------------------------------------------------
-
-
-def test_primitive_root_matches_naive_period(h, tri):
-    for g in (h, tri):
-        for w in enumerate_paths(g, 6):
-            if w.is_vertex or not w.is_loop:
-                continue
-            root = primitive_root(w)
-            assert root.length == _independent_root_length(w.edges)
-            assert loop_power(root, w.length // root.length) == w
-
-
-def test_diagram_merges_loop_powers(h):
-    l = path_word(h, ["e1", "e2"])
-    l2 = loop_power(l, 2)
-    assert diagram(l2) == l
-    assert not diagram_distinct(l, l2)
-    assert diagram_distinct(l, path_word(h, ["e2", "e1"]))
-    assert diagram_distinct(path_word(h, ["e1"]), path_word(h, ["e2"]))
-    with pytest.raises(DomainError):
-        diagram(vertex_word(h, "v1"))
-
-
-def test_diagram_distinct_sets_vacuous(h):
-    e1 = path_word(h, ["e1"])
-    assert diagram_distinct_sets([], [e1])
-    assert diagram_distinct_sets([e1], [])
-    assert not diagram_distinct_sets([e1], [e1])
