@@ -42,7 +42,6 @@ from .opcalc import (
     Monomial,
     Pair,
     RandomVariable,
-    Zero,
     annihilation,
     creation,
     expectation,
@@ -72,7 +71,6 @@ __all__ = [
     "NoncrossingPartition",
     "Pair",
     "RandomVariable",
-    "Zero",
     "annihilation",
     "classify",
     "compress_vertex",

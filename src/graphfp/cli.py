@@ -30,7 +30,6 @@ from .opcalc import (
     DiagonalElement,
     Monomial,
     RandomVariable,
-    Zero,
     diagonal_from_json,
     diagonal_to_json,
     expectation,
@@ -144,7 +143,7 @@ def _cmd_reduce(args):
     graph = _load_graph(args.graph)
     m = Monomial(parse_letters(graph, args.word))
     form = reduce_monomial(m, args.mode)
-    if isinstance(form, Zero):
+    if form is None:
         return {"kind": "zero"}, ["0"]
     payload = {
         "kind": "pair",

@@ -28,7 +28,6 @@ from .opcalc import (
     GeneratorLetter,
     Monomial,
     Pair,
-    Zero,
     annihilation,
     creation,
     reduce_monomial,
@@ -134,9 +133,9 @@ def represent(letter: GeneratorLetter, basis: TruncatedBasis) -> PartialMap:
     return out
 
 
-def represent_form(form: Pair | Zero, basis: TruncatedBasis) -> PartialMap:
-    """Partial map of a two-sided normal form (zero gives the empty map)."""
-    if isinstance(form, Zero):
+def represent_form(form: Pair | None, basis: TruncatedBasis) -> PartialMap:
+    """Partial map of a two-sided normal form (``None``, zero, gives the empty map)."""
+    if form is None:
         return PartialMap({})
     out = represent(creation(form.alpha), basis)
     if not form.beta.is_vertex:
@@ -263,10 +262,6 @@ def cross_check_reduction(
         basis = truncated_basis(graph, max_len)
     elif basis.graph != graph or basis.max_len != max_len:
         raise DomainError("basis does not match the requested truncation")
-    # The coefficient scales both sides alike, so only a zero one matters:
-    # it makes both sides zero, and the reduction returns Zero for it.
-    if m.coefficient.is_zero():
-        return True
     product = PartialMap({j: j for j in range(len(basis.words))})
     for letter in m.letters:
         product = product @ represent(letter, basis)

@@ -26,15 +26,15 @@ prefix by one slot instead of rebuilding the chain for every partition,
 pattern and order.
 
 A normal form L[alpha] L*[beta] sits in the vertex corner (source of alpha,
-source of beta).  ``_apply_letter`` gives zero when two factors' vertices
-differ, a chain product keeps its first factor's left vertex and its last
-factor's right vertex, and E reads only (v, v) forms.  The recursion is
-multilinear in each slot, so by induction on the order a cumulant is zero,
-term choice by term choice, unless one term per slot chains into a closed
-walk of vertices; no associativity is assumed.  A diagonal d in front of a
-slot keeps only the terms whose left vertex lies in the support of d.  A
-table checks that once per call and returns zero without a product when no
-choice closes.
+source of beta).  ``opcalc._pair_product`` gives zero when two factors'
+vertices differ, a chain product keeps its first factor's left vertex and
+its last factor's right vertex, and E reads only (v, v) forms.  The
+recursion is multilinear in each slot, so by induction on the order a
+cumulant is zero, term choice by term choice, unless one term per slot
+chains into a closed walk of vertices; no associativity is assumed.  A
+diagonal d in front of a slot keeps only the terms whose left vertex lies
+in the support of d.  A table checks that once per call and returns zero
+without a product when no choice closes.
 
 ``moment`` and the compressed moment series build their chain directly and
 prune it by grading.  A normal form L[alpha] L*[beta] has grading

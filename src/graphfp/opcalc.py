@@ -2,8 +2,12 @@
 
 Generators: for each word ``w`` a creation operator ``L[w]`` (a projection
 when ``w`` is a vertex, a partial isometry otherwise) and its adjoint
-``L*[w]``.  Every letter product reduces to zero or to a two-sided normal
-form ``L[alpha] L*[beta]`` with matching target vertices.
+``L*[w]``.  Every letter product reduces to zero (``None``) or to a two-sided
+normal form ``L[alpha] L*[beta]`` with matching target vertices.  Each letter
+enters as its own normal form, ``L[w] = L[w] L*[t]`` and ``L*[w] = L[t] L*[w]``
+with ``t`` the target of ``w``, and one rule multiplies two normal forms: the
+path rule ``L*[b] L[c] = L[r]`` when ``c = b r``, ``L*[r]`` when ``b = c r``,
+and 0 otherwise (Kumjian-Pask-Raeburn 1998).
 
 Two reduction modes:
 
@@ -47,10 +51,7 @@ __all__ = [
     "creation",
     "annihilation",
     "Monomial",
-    "Zero",
-    "ZERO_FORM",
     "Pair",
-    "NormalForm",
     "reduce_monomial",
     "ck_collapse",
     "parse_letters",
@@ -105,10 +106,9 @@ def annihilation(word: PathWord) -> GeneratorLetter:
 
 @dataclass(frozen=True)
 class Monomial:
-    """A scalar multiple of a finite letter product; empty letters = the unit."""
+    """A finite letter product; empty letters = the unit."""
 
     letters: tuple[GeneratorLetter, ...]
-    coefficient: ExactComplex = ONE
 
     def __post_init__(self):
         g = self.graph
@@ -122,17 +122,6 @@ class Monomial:
     def creation_weight(self) -> int:
         """Total edge length created along the product (truncation margin)."""
         return sum(l.word.length for l in self.letters if not l.star)
-
-
-@dataclass(frozen=True)
-class Zero:
-    """The zero operator as a normal form."""
-
-    def __str__(self) -> str:
-        return "0"
-
-
-ZERO_FORM = Zero()
 
 
 @dataclass(frozen=True)
@@ -157,102 +146,78 @@ class Pair:
         return f"L[{self.alpha}] L*[{self.beta}]"
 
 
-NormalForm = Union[Pair, Zero]
-
-
-def _is_prefix(p: PathWord, w: PathWord) -> bool:
-    # A vertex is a prefix of any word it starts; a path never prefixes a vertex.
-    if p.is_vertex:
-        return p.vertex == w.source
-    if w.is_vertex:
-        return False
-    return w.edges[: len(p.edges)] == p.edges
-
-
-def _strip_prefix(w: PathWord, p: PathWord) -> PathWord:
-    # Remainder r with w = p . r; the remainder of an exact match is a vertex.
-    if p.is_vertex:
+def _cut(w: PathWord, i: int, j: int) -> PathWord:
+    # Edges i..j of w as a word; an empty cut is the vertex at position i.
+    if i == 0 and j == len(w.edges):
         return w
-    rest = w.edges[len(p.edges):]
-    return path_word(w.graph, rest) if rest else vertex_word(w.graph, w.target)
+    edges = w.edges[i:j]
+    if edges:
+        return path_word(w.graph, edges)
+    return vertex_word(w.graph, w.source if i == 0 else w.graph.edge(w.edges[i - 1]).dst)
 
 
-def ck_collapse(form: NormalForm) -> NormalForm:
+def ck_collapse(form: Pair) -> Pair:
     """Apply ``L[w] L*[w] -> L[source(w)]`` exhaustively to a normal form.
 
     ``L[a.s] L*[b.s] = L[a] L[s] L*[s] L*[b] = L[a] L*[b]``, so the longest
     common suffix of the two sides is stripped; one maximal strip is
     exhaustive because afterwards the last edges differ or a side is a vertex.
     """
-    if isinstance(form, Zero):
-        return form
     alpha, beta = form.alpha, form.beta
-    if alpha.is_vertex or beta.is_vertex:
-        return form
     na, nb = len(alpha.edges), len(beta.edges)
     k = 0
     while k < min(na, nb) and alpha.edges[na - 1 - k] == beta.edges[nb - 1 - k]:
         k += 1
     if k == 0:
         return form
-    g = alpha.graph
-    head_a = alpha.edges[: na - k]
-    head_b = beta.edges[: nb - k]
-    return Pair(
-        path_word(g, head_a) if head_a else vertex_word(g, alpha.source),
-        path_word(g, head_b) if head_b else vertex_word(g, beta.source),
-    )
+    return Pair(_cut(alpha, 0, na - k), _cut(beta, 0, nb - k))
 
 
-def _apply_letter(state: Pair | None, letter: GeneratorLetter, mode: str) -> NormalForm:
-    w = letter.word
-    g = w.graph
-    if state is None:
-        if letter.star:
-            form = Pair(vertex_word(g, w.target), w)
-        else:
-            form = Pair(w, vertex_word(g, w.target))
-    elif not letter.star:
-        alpha, beta = state.alpha, state.beta
-        if _is_prefix(beta, w):
-            rem = _strip_prefix(w, beta)
-            grown = concat(alpha, rem)
-            assert grown is not None  # targets match by the pair invariant
-            form = Pair(grown, vertex_word(g, grown.target))
-        elif _is_prefix(w, beta):
-            form = Pair(alpha, _strip_prefix(beta, w))
-        else:
-            return ZERO_FORM
+def _letter_pair(word: PathWord, star: bool) -> Pair:
+    # L[w] = L[w] L*[t] and L*[w] = L[t] L*[w], t the target of w; a vertex
+    # letter is L[v] L*[v].
+    t = word if word.is_vertex else vertex_word(word.graph, word.target)
+    return Pair(t, word) if star else Pair(word, t)
+
+
+def _pair_product(p: Pair, q: Pair, mode: str = CK) -> Pair | None:
+    """The normal form of ``p q``, or None for zero.
+
+    ``L[a] L*[b] L[c] L*[d]`` is ``L[a r] L*[d]`` when ``c = b r``,
+    ``L[a] L*[d r]`` when ``b = c r``, and 0 otherwise; CK mode then
+    collapses the result.
+    """
+    b, c = p.beta, q.alpha
+    if b.source != c.source:
+        return None
+    nb, nc = len(b.edges), len(c.edges)
+    if c.edges[:nb] == b.edges:
+        form = Pair(concat(p.alpha, _cut(c, nb, nc)), q.beta)
+    elif b.edges[:nc] == c.edges:
+        form = Pair(p.alpha, concat(q.beta, _cut(b, nc, nb)))
     else:
-        grown = concat(w, state.beta)
-        if grown is None:
-            return ZERO_FORM
-        form = Pair(state.alpha, grown)
-    if mode == CK:
-        form = ck_collapse(form)
-    return form
+        return None
+    return ck_collapse(form) if mode == CK else form
 
 
-def reduce_monomial(m: Monomial, mode: str = CK) -> NormalForm:
-    """Reduce a letter product to its normal form in the given mode.
+def reduce_monomial(m: Monomial, mode: str = CK) -> Pair | None:
+    """Reduce a letter product to its normal form in the given mode, None
+    for zero: the letters' normal forms are multiplied from the left.
 
     The empty monomial is the abstract unit and has no single two-sided
     normal form; reducing it is a domain error.
     """
     if mode not in _MODES:
         raise DomainError(f"unknown reduction mode {mode!r}")
-    if m.coefficient.is_zero():
-        return ZERO_FORM
     if not m.letters:
         raise DomainError("the empty monomial is the unit; nothing to reduce")
-    state: Pair | None = None
-    for letter in m.letters:
-        nxt = _apply_letter(state, letter, mode)
-        if isinstance(nxt, Zero):
-            return ZERO_FORM
-        state = nxt
-    assert state is not None
-    return state
+    first, *rest = m.letters
+    form = _letter_pair(first.word, first.star)
+    for letter in rest:
+        form = _pair_product(form, _letter_pair(letter.word, letter.star), mode)
+        if form is None:
+            return None
+    return form
 
 
 def parse_letters(graph: Graph, text: str) -> tuple[GeneratorLetter, ...]:
@@ -300,7 +265,7 @@ EMPTY_PATH = LatticePath((), empty=True)
 def lattice_path(m: Monomial) -> LatticePath:
     if not m.letters:
         raise DomainError("the empty monomial has no lattice path")
-    if isinstance(reduce_monomial(m, CK), Zero):
+    if reduce_monomial(m, CK) is None:
         return EMPTY_PATH
     steps = []
     for letter in m.letters:
@@ -509,27 +474,12 @@ def to_general(x: Element) -> GeneralElement:
         if x.graph is None:
             raise DomainError("the unit monomial has no graph; expand it explicitly")
         form = reduce_monomial(x, CK)
-        if isinstance(form, Zero):
-            return GeneralElement.zero(x.graph)
-        return GeneralElement(x.graph, [(form, x.coefficient)])
+        return GeneralElement(x.graph, [] if form is None else [(form, ONE)])
     if isinstance(x, RandomVariable):
         return GeneralElement(
-            x.graph,
-            [
-                (_apply_letter(None, GeneratorLetter(w, star), CK), c)
-                for (w, star), c in x.terms.items()
-            ],
+            x.graph, [(_letter_pair(w, star), c) for (w, star), c in x.terms.items()]
         )
     raise TypeError(f"cannot interpret {type(x).__name__} as an element")
-
-
-def _pair_product(p1: Pair, p2: Pair) -> NormalForm:
-    state: NormalForm = _apply_letter(p1, creation(p2.alpha), CK)
-    if isinstance(state, Zero):
-        return ZERO_FORM
-    if not p2.beta.is_vertex:
-        state = _apply_letter(state, annihilation(p2.beta), CK)
-    return state
 
 
 class _FormIds:
@@ -589,7 +539,7 @@ class _FormIds:
                 p1 = forms[i]
                 for j, c2 in factor.items():
                     form = _pair_product(p1, forms[j])
-                    if form is not ZERO_FORM:
+                    if form is not None:
                         row.append((self._id(form), c2))
             for k, (c, d) in row:
                 prev = acc.get(k)
@@ -637,7 +587,7 @@ def _times(gx: GeneralElement, gy: GeneralElement, rows: dict) -> GeneralElement
             row = bucket[p1] = []
             for p2, c2 in gy.terms.items():
                 form = _pair_product(p1, p2)
-                if form is not ZERO_FORM:
+                if form is not None:
                     row.append((form, c2))
         for form, c2 in row:
             prev = acc.get(form)
@@ -650,18 +600,12 @@ def multiply(x: Element, y: Element) -> GeneralElement:
     return _times(to_general(x), to_general(y), {})
 
 
-def expectation(x: Element | NormalForm, graph: Graph | None = None) -> DiagonalElement:
+def expectation(x: Element) -> DiagonalElement:
     """Conditional expectation onto the span of the vertex projections.
 
-    A normal form contributes its vertex pair ``L[v] L*[v] = L[v]``; all
-    other pairs have zero diagonal component.
+    Each vertex pair ``L[v] L*[v] = L[v]`` of the element's normal forms is
+    kept; all other pairs have zero diagonal component.
     """
-    if isinstance(x, Zero):
-        if graph is None:
-            raise DomainError("expectation of the zero form needs a graph")
-        return DiagonalElement.zero(graph)
-    if isinstance(x, Pair):
-        x = GeneralElement(x.alpha.graph, [(x, ONE)])
     gx = to_general(x)
     # Distinct terms have distinct pairs, so each vertex pair occurs once.
     return DiagonalElement(

@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import product
 
 from graphfp import (
-    CK,
     DiagonalElement,
     ExactComplex,
     Monomial,
@@ -43,7 +42,6 @@ from graphfp import (
     moment,
     multiply,
     path_word,
-    reduce_monomial,
     to_general,
     trivial_cumulant,
 )
@@ -96,7 +94,7 @@ def test_criterion_01_star_axis_expectation_law(h, h_letters):
     for n in range(1, 7):
         for combo in product(letters, repeat=n):
             m = Monomial(combo)
-            nonzero = not expectation(reduce_monomial(m, CK), h).is_zero()
+            nonzero = not expectation(m).is_zero()
             if nonzero != lattice_path(m).star_axis:
                 bad.append(m)
     _verdict(
@@ -253,7 +251,7 @@ def test_criterion_07_compressed_series_values(h):
         total = Fraction(0)
         for pattern in product((False, True), repeat=n):
             m = Monomial(tuple(l_a if s else l_c for s in pattern))
-            total += expectation(reduce_monomial(m, CK), h).get("v1").re
+            total += expectation(m).get("v1").re
         return total
 
     moments = compressed_moment_series(a, "v1", 4)

@@ -230,6 +230,69 @@ def test_paths_refuses_a_listing_above_the_bound(capsys):
         assert "--max-len " + max_len + " needs at least 8191 basis words" in err
 
 
+_H = {
+    "vertices": ["v1", "v2"],
+    "edges": [{"id": "e1", "src": "v1", "dst": "v2"}, {"id": "e2", "src": "v2", "dst": "v1"}],
+}
+
+# name -> (document written to a file or None, argv with "FILE" for its
+# path, exit code, a fragment of the message)
+_BAD_INPUTS = {
+    "edges not a list": (
+        {"vertices": ["v1"], "edges": {}},
+        ["paths", "--graph", "FILE", "--max-len", "1"],
+        2, "graph 'edges' must be a list",
+    ),
+    "edge field not a string": (
+        {"vertices": ["v1"], "edges": [{"id": "e1", "src": "v1", "dst": 1}]},
+        ["paths", "--graph", "FILE", "--max-len", "1"],
+        2, "edge fields must be strings",
+    ),
+    "duplicate vertex": (
+        {"vertices": ["v1", "v1"], "edges": []},
+        ["paths", "--graph", "FILE", "--max-len", "1"],
+        3, "duplicate vertex id",
+    ),
+    "term not an object": (
+        {"graph": _H, "terms": ["v1"]},
+        ["expect", "--var", "FILE"],
+        2, "bad term object",
+    ),
+    "word not a list": (
+        {"graph": _H, "terms": [{"word": "v1", "re": "1"}]},
+        ["expect", "--var", "FILE"],
+        2, "term 'word' must be a list of ids",
+    ),
+    "diagonal not an object": (
+        [],
+        ["moment", "--var", _d("a_loop.json"), "-n", "1", "--d", "FILE"],
+        2, "diagonal document must be a JSON object",
+    ),
+    "bare star token": (
+        None,
+        ["reduce", "--graph", _d("h.json"), "--word", "*"],
+        2, "bad token",
+    ),
+    "negative path length": (
+        None,
+        ["paths", "--graph", _d("h.json"), "--max-len", "-1"],
+        3, "max_len must be >= 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_INPUTS)
+def test_malformed_inputs_exit_with_their_code_and_message(name, tmp_path, capsys):
+    doc, argv, want_code, fragment = _BAD_INPUTS[name]
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    code, out, err = _run([str(path) if a == "FILE" else a for a in argv], capsys)
+    assert code == want_code
+    assert out == ""
+    assert fragment in err
+
+
 # -- the documented bounds -----------------------------------------------------
 
 

@@ -28,8 +28,9 @@ TEST_ONLY_HELPERS = (
 )
 
 # Names that cumulant's NC(n) sum needed and that partition_moments and
-# ncpart.top_weights replace, and the path-diagram functions of the former
-# freeness certificate: none may come back.
+# ncpart.top_weights replace, the path-diagram functions of the former
+# freeness certificate, and the zero normal form that None replaces: none
+# may come back.
 REMOVED_NAMES = (
     "CumulantReport",
     "partition_moment",
@@ -37,6 +38,9 @@ REMOVED_NAMES = (
     "diagram_distinct",
     "diagram_distinct_sets",
     "primitive_root",
+    "Zero",
+    "ZERO_FORM",
+    "NormalForm",
 )
 
 

@@ -17,7 +17,6 @@ from typing import Sequence
 from hypothesis import strategies as st
 
 from graphfp import (
-    CK,
     DiagonalElement,
     DomainError,
     ExactComplex,
@@ -35,9 +34,7 @@ from graphfp import (
     expectation,
     lattice_path,
     load_graph,
-    moment,
     partition_moments,
-    reduce_monomial,
     vertex_word,
 )
 from graphfp.graph import PathWord
@@ -74,9 +71,7 @@ def loop_power(word: PathWord, k: int) -> PathWord:
 
 
 def adjoint_monomial(m: Monomial) -> Monomial:
-    return Monomial(
-        tuple(l.adjoint for l in reversed(m.letters)), m.coefficient.conjugate()
-    )
+    return Monomial(tuple(l.adjoint for l in reversed(m.letters)))
 
 
 def pair_letters(form: Pair) -> tuple[GeneratorLetter, ...]:
@@ -246,17 +241,19 @@ def partition_moment_by_interval_search(
     partition: NoncrossingPartition, items: Sequence[tuple]
 ) -> DiagonalElement:
     """E along a noncrossing partition by the interval search, each bracket
-    a plain ``moment``.  The oracle for ``partition_moments``, which visits
-    the blocks in another order and splices values into other slots."""
+    valued by ``word_moment``.  The oracle for ``partition_moments``, which
+    visits the blocks in another order and splices values into other slots;
+    it shares no product code with the engine."""
     return _eliminate_interval_blocks(
-        partition, [a for _d, a in items], [d for d, _a in items], moment
+        partition, [a for _d, a in items], [d for d, _a in items], word_moment
     )
 
 
 def uncached_cumulant(variables: Sequence, diagonals: Sequence | None = None) -> DiagonalElement:
     """k_n as the sum over NC(n) of mu(pi, 1_n) times the partition moment
-    by interval search, each bracket a plain ``moment``: no chain product
-    is shared between blocks, partitions or calls."""
+    by interval search, each bracket valued by ``word_moment``: no product
+    code is shared with the engine, and no chain product is shared between
+    blocks, partitions or calls."""
     n = len(variables)
     items = list(zip(diagonals or [None] * n, variables))
     total = DiagonalElement.zero(variables[0].graph)
@@ -296,8 +293,7 @@ def cumulant_via_multiplier(letters: Sequence[GeneratorLetter]) -> DiagonalEleme
     if not lattice_path(m).star_axis:
         raise DomainError("shortcut cumulant needs the star-axis property")
     weight, _connected = connectivity_multiplier(letters)
-    graph = letters[0].word.graph
-    return expectation(reduce_monomial(m, CK), graph).scale(weight)
+    return expectation(m).scale(weight)
 
 
 def freeness_scan_by_brute_force(a: RandomVariable, b: RandomVariable, max_order: int):
@@ -416,7 +412,8 @@ def unbranched_graphs(draw):
 # beta_src, beta_edges) of edge-id tuples, an empty tuple standing for the
 # vertex in its source slot.  A letter is (src, edges, star), a vertex letter
 # having no edges.  Coefficients are (re, im) pairs of Fractions, multiplied
-# by hand, so nothing here touches the package's opcalc or scalars.
+# by hand, so nothing here touches the package's opcalc or scalars;
+# word_moment meets the package's types only at its ends.
 
 
 def _pair_mul(x, y):
@@ -479,3 +476,29 @@ def ck_moments_by_words(ends, factors):
         forms = {f: c for f, c in grown.items() if c != zero}
         out.append({f[0]: c for f, c in forms.items() if not f[1] and not f[3]})
     return out
+
+
+def _word_terms(x) -> list:
+    # The terms ((src, edges, star), (re, im)) of ck_moments_by_words for a
+    # DiagonalElement, a RandomVariable or a GeneratorLetter.
+    if isinstance(x, DiagonalElement):
+        return [((v, (), False), (c.re, c.im)) for v, c in x.entries.items()]
+    if isinstance(x, GeneratorLetter):
+        return [((x.word.source, x.word.edges, x.star), (Fraction(1), Fraction(0)))]
+    return [((w.source, w.edges, star), (c.re, c.im)) for (w, star), c in x.terms.items()]
+
+
+def word_moment(variables: Sequence, diagonals: Sequence) -> DiagonalElement:
+    """E(d1 a1 ... dn an) by ``ck_moments_by_words``, a ``None`` diagonal
+    being the unit: each slot and diagonal becomes word-oracle terms, and
+    the moment of the whole product is read back as a DiagonalElement."""
+    first = variables[0]
+    graph = first.word.graph if isinstance(first, GeneratorLetter) else first.graph
+    factors = []
+    for d, a in zip(diagonals, variables):
+        if d is not None:
+            factors.append(_word_terms(d))
+        factors.append(_word_terms(a))
+    ends = {e.id: (e.src, e.dst) for e in graph.edges}
+    last = ck_moments_by_words(ends, factors)[-1]
+    return DiagonalElement(graph, {v: ExactComplex(re, im) for v, (re, im) in last.items()})
