@@ -23,7 +23,9 @@ A block's value depends only on its variables and the diagonals pending in
 front of them, so each top-level call (a cumulant, a freeness scan, a
 classification) keeps one table of chain products and extends a stored
 prefix by one slot instead of rebuilding the chain for every partition,
-pattern and order.
+pattern and order.  The table is built over the call's positions, a
+position being a variable and the diagonal in front of it: the scans'
+patterns and a partition's blocks are tuples of positions.
 
 A normal form L[alpha] L*[beta] sits in the vertex corner (source of alpha,
 source of beta).  ``opcalc._pair_product`` gives zero when two factors'
@@ -33,8 +35,8 @@ recursion is multilinear in each slot, so by induction on the order a
 cumulant is zero, term choice by term choice, unless one term per slot
 chains into a closed walk of vertices; no associativity is assumed.  A
 diagonal d in front of a slot keeps only the terms whose left vertex lies
-in the support of d.  A table checks that once per call and returns zero
-without a product when no choice closes.
+in the support of d.  A table cuts each position's corners once, when it is
+built, and returns zero without a product when no choice closes.
 
 ``moment`` and the compressed moment series build their chain directly and
 prune it by grading.  A normal form L[alpha] L*[beta] has grading
@@ -49,9 +51,10 @@ does not prune: it cannot foresee which slots will extend a prefix.
 A chain step is a linear map on the span of normal forms, prefix -> prefix f.
 Its row for a left pair p lists the nonzero reductions of p q, one per term
 q of f, with the coefficient of q.  A moment chain keeps one dict of rows per
-distinct factor, found by identity, and the table one per slot and one per
-pending diagonal.  A row is valid for its own factor only.  A repeated step
-only multiplies coefficients and adds, and the rows go when the call returns.
+distinct factor, found by identity, and the table one per distinct variable
+and one per pending diagonal.  A row is valid for its own factor only.  A
+repeated step only multiplies coefficients and adds, and the rows go when
+the call returns.
 A moment chain groups its rows by the grading of the left pair: once the
 window has left a grading, no later prefix holds a form of it, so the chain
 deletes that grading's rows after each slot.
@@ -69,16 +72,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .graph import Graph
 from .ncpart import NoncrossingPartition, enumerate_nc
 from .opcalc import (
     DiagonalElement,
     Element,
     GeneralElement,
-    GeneratorLetter,
     RandomVariable,
     _FormIds,
     _grading,
@@ -111,17 +112,7 @@ def _check_slots(
         return [None] * len(variables)
     if len(diagonals) != len(variables):
         raise DomainError("one diagonal multiplier per variable slot")
-    graph = _graph_of(variables[0])
-    if any(d is not None and d.graph != graph for d in diagonals):
-        raise DomainError("cannot multiply elements over different graphs")
     return list(diagonals)
-
-
-def _graph_of(x: Element) -> Graph:
-    g = x.word.graph if isinstance(x, GeneratorLetter) else x.graph
-    if g is None:
-        raise DomainError("cannot infer the graph of a unit monomial")
-    return g
 
 
 def _chain_prefixes(
@@ -180,28 +171,34 @@ def moment(
     return expectation(out)
 
 
-def _pending(d: DiagonalElement | None) -> frozenset | None:
-    # A key's pending diagonal: None for the unit, else the entries of d.
-    return None if d is None else frozenset(d.entries.items())
-
-
 class _ChainProducts:
-    """The chain products of one top-level call, shared by all its blocks.
+    """The chain products of one top-level call over its positions, shared
+    by all its blocks.
 
-    A key is a tuple of (slot, pending diagonal) pairs, one per block
-    position.  The slot is the position of the variable in the call's list
-    of distinct variables, found by identity rather than ``id``, which a
-    freed temporary can hand on.  The pending diagonal is None or the
-    entries of the diagonal standing in front of the variable: a given
-    diagonal, a block value spliced in, or in the recursion's own keys one
-    vertex projection.  A table and its memo of cumulants live only as long
-    as the call that made it.
+    A position is one slot of the call: a variable and the diagonal in
+    front of it.  The table is built over the call's positions once: it
+    factors each distinct variable, found by identity, and gives it one rows
+    dict; it factors each given diagonal; and it stores each position's key
+    item and its corners, cut to the support of its diagonal.  ``kappa`` and
+    ``partition_moment`` then take positions and resolve no variable.
+
+    A key is a tuple of key items (slot, pending diagonal), one per block
+    position.  The slot numbers the distinct variable.  The pending diagonal
+    is None or the entries of the diagonal standing in front of the
+    variable: a given diagonal, a block value spliced in, or in the
+    recursion's own keys one vertex projection.  A table and its memo of
+    cumulants live only as long as the call that made it.
     """
 
-    def __init__(self) -> None:
-        self._forms = _FormIds()
-        # Each distinct variable of the call, its form-id value and rows.
-        self._variables: list[tuple[Element, tuple, dict]] = []
+    def __init__(
+        self,
+        variables: Sequence[Element],
+        diagonals: Sequence[DiagonalElement | None] | None = None,
+    ) -> None:
+        ds = _check_slots(variables, diagonals)
+        self._forms = forms = _FormIds()
+        # slot -> the distinct variable's form-id value and rows
+        self._variables: list[tuple[tuple, dict]] = []
         # pending diagonal -> its form-id value and rows
         self._diagonals: dict[frozenset, tuple[tuple, dict]] = {}
         # key -> [form-id value of the chain product, its expectation once a
@@ -209,21 +206,33 @@ class _ChainProducts:
         self._products: dict[tuple, list] = {}
         # key -> entries of its cumulant, from the first-block recursion
         self._cumulants: dict[tuple, dict] = {}
-        # slot -> left vertex of a term -> the right vertices it reaches
+        # position -> its key item
+        self._items: list[tuple[int, frozenset | None]] = []
+        # position -> left vertex of a term -> the right vertices it reaches
         self._corners: list[dict[str, set[str]]] = []
-
-    def _slot(self, x: Element) -> int:
-        for i, (v, _value, _rows) in enumerate(self._variables):
-            if v is x:
-                return i
-        value = self._forms.factor(to_general(x))
-        corners: dict[str, set[str]] = {}
-        for k in value[0]:
-            form = self._forms.forms[k]
-            corners.setdefault(form.alpha.source, set()).add(form.beta.source)
-        self._variables.append((x, value, {}))
-        self._corners.append(corners)
-        return len(self._variables) - 1
+        distinct: list[tuple[Element, dict[str, set[str]]]] = []
+        for x, d in zip(variables, ds):
+            slot = next((i for i, (y, _c) in enumerate(distinct) if y is x), None)
+            if slot is None:
+                slot = len(distinct)
+                value = forms.factor(to_general(x))
+                corners: dict[str, set[str]] = {}
+                for k in value[0]:
+                    form = forms.forms[k]
+                    corners.setdefault(form.alpha.source, set()).add(form.beta.source)
+                self._variables.append((value, {}))
+                distinct.append((x, corners))
+            corners = distinct[slot][1]
+            pending = None
+            if d is not None:
+                pending = frozenset(d.entries.items())
+                if pending not in self._diagonals:
+                    self._diagonals[pending] = (forms.factor(to_general(d)), {})
+                # A diagonal projects away the corners whose left vertex
+                # lies outside its support.
+                corners = {u: ws for u, ws in corners.items() if u in d.entries}
+            self._items.append((slot, pending))
+            self._corners.append(corners)
 
     def _block_value(self, key: tuple) -> DiagonalElement:
         """E(d1 a1 ... dk ak) of a key: each prefix product comes from the table
@@ -238,7 +247,7 @@ class _ChainProducts:
                 prefix_key += ((slot, pending),)
                 cached = self._products.get(prefix_key)
                 if cached is None:
-                    factors = [self._variables[slot][1:]]
+                    factors = [self._variables[slot]]
                     if pending is not None:
                         diagonal = self._diagonals.get(pending)
                         if diagonal is None:
@@ -276,10 +285,7 @@ class _ChainProducts:
                     if prev + 1 == i:
                         choices.append((((slot, pending), None),))
                         continue
-                    gap = self._block_value(key[prev + 1:i]).entries
-                    if pending is not None:
-                        own = dict(pending)
-                        gap = {v: c * own[v] for v, c in gap.items() if v in own}
+                    gap = _times_pending(self._block_value(key[prev + 1:i]).entries, pending)
                     if not gap:
                         break
                     choices.append(
@@ -300,44 +306,30 @@ class _ChainProducts:
         value = self._cumulants[key] = {v: c for v, c in value.items() if not c.is_zero()}
         return value
 
-    def kappa(
-        self,
-        variables: Sequence[Element],
-        diagonals: Sequence[DiagonalElement | None] | None = None,
-    ) -> DiagonalElement:
-        """k_n(d1 a1, ..., dn an), by the recursion; a ``None`` diagonal
-        slot is the unit."""
-        ds = _check_slots(variables, diagonals)
-        slots = [self._slot(x) for x in variables]
-        corners = [self._corners[slot] for slot in slots]
-        if diagonals is not None:
-            # A diagonal projects away the corners whose left vertex lies
-            # outside its support; the key holds its entries.
-            corners = [
-                c if d is None else {u: ws for u, ws in c.items() if u in d.entries}
-                for c, d in zip(corners, ds)
-            ]
-            ds = [_pending(d) for d in ds]
-        # The (start, end) vertices of the walks that one term per slot
+    def kappa(self, positions: Iterable[int]) -> DiagonalElement:
+        """k_n(d_i1 a_i1, ..., d_in a_in) for the call's positions
+        i1, ..., in, by the recursion: a scan passes its pattern of positions
+        of the table it built, and ``cumulant`` passes every position once."""
+        positions = tuple(positions)
+        corners = self._corners
+        # The (start, end) vertices of the walks that one term per position
         # chains into; the cumulant is zero unless one of them closes.
-        walks = {(u, w) for u, ws in corners[0].items() for w in ws}
-        for slot_corners in corners[1:]:
-            walks = {(u, w) for u, v in walks for w in slot_corners.get(v, ())}
-        graph = _graph_of(variables[0])
+        walks = {(u, w) for u, ws in corners[positions[0]].items() for w in ws}
+        for i in positions[1:]:
+            walks = {(u, w) for u, v in walks for w in corners[i].get(v, ())}
+        graph = self._forms.graph
         if not any(u == w for u, w in walks):
             return DiagonalElement.zero(graph)
-        key = tuple(zip(slots, ds))
-        return DiagonalElement(graph, self._kappa(key))
+        key = tuple(self._items[i] for i in positions)
+        return DiagonalElement._clean(graph, dict(self._kappa(key)))
 
-    def partition_moment(
-        self,
-        partition: NoncrossingPartition,
-        variables: Sequence[Element],
-        diagonals: Sequence[DiagonalElement | None],
-    ) -> DiagonalElement:
-        n = len(variables)
-        slots = [self._slot(x) for x in variables]
-        pending = list(diagonals)
+    def partition_moment(self, partition: NoncrossingPartition) -> DiagonalElement:
+        """E(d1 a1 ... dn an) along ``partition``, read off the call's
+        positions in order: each block's key is the stored key items of its
+        positions, with earlier block values spliced into the pending
+        diagonals."""
+        items = list(self._items)
+        n = len(items)
         # after[i]: the first live position to the right of position i (n: none).
         after = list(range(1, n + 1))
         closed: DiagonalElement | None = None
@@ -346,21 +338,28 @@ class _ChainProducts:
         # positions; every position before it is still live.
         for block in reversed(partition.blocks):
             first, last = block[0] - 1, block[-1] - 1
-            key = tuple((slots[j - 1], _pending(pending[j - 1])) for j in block)
-            value = self._block_value(key)
+            value = self._block_value(tuple(items[j - 1] for j in block))
             if value.is_zero():
                 # A zero block value annihilates its enclosing bracket.
                 return DiagonalElement.zero(value.graph)
             nxt = after[last]
             if nxt < n:
-                cur = pending[nxt]
-                pending[nxt] = value if cur is None else value * cur
+                slot, pending = items[nxt]
+                items[nxt] = (slot, frozenset(_times_pending(value.entries, pending).items()))
             else:
                 closed = value if closed is None else closed * value
             if first:
                 after[first - 1] = nxt
         assert closed is not None
         return DiagonalElement(closed.graph, dict(closed.entries))
+
+
+def _times_pending(entries: dict, pending: frozenset | None) -> dict:
+    # The entries of a diagonal times a key item's pending diagonal.
+    if pending is None:
+        return entries
+    own = dict(pending)
+    return {v: c * own[v] for v, c in entries.items() if v in own}
 
 
 def partition_moments(
@@ -370,9 +369,8 @@ def partition_moments(
     """E(d1 a1 ... dn an) along every partition of ``enumerate_nc(n)``, in
     that order, from one table of chain products.  ``ncpart.top_weights(n)``
     gives the Mobius weights that sum them to the cumulant."""
-    ds = _check_slots(variables, diagonals)
-    table = _ChainProducts()
-    return {p: table.partition_moment(p, variables, ds) for p in enumerate_nc(len(ds))}
+    table = _ChainProducts(variables, diagonals)
+    return {p: table.partition_moment(p) for p in enumerate_nc(len(variables))}
 
 
 def cumulant(
@@ -381,7 +379,7 @@ def cumulant(
 ) -> DiagonalElement:
     """k_n(d1 a1, ..., dn an), the n-th amalgamated cumulant; a ``None``
     diagonal slot is the unit."""
-    return _ChainProducts().kappa(variables, diagonals)
+    return _ChainProducts(variables, diagonals).kappa(range(len(variables)))
 
 
 def trivial_cumulant(variable: Element, n: int) -> DiagonalElement:
@@ -424,19 +422,17 @@ def mixed_cumulants_vanish(
         raise DomainError("variables live over different graphs")
     if max_order < 2:
         raise DomainError("max_order must be >= 2")
-    table = _ChainProducts()
+    table = _ChainProducts((a, a.adjoint(), b, b.adjoint()))
     if a == b and a.path_support():
         # k2(a, a*) has only nonnegative diagonal weights off the square
         # terms, so it cannot vanish when a has path support.
-        witness = FreenessWitness(2, ("a", "b*"), table.kappa([a, a.adjoint()]))
-        return False, witness
+        return False, FreenessWitness(2, ("a", "b*"), table.kappa((0, 1)))
     labels = ("a", "a*", "b", "b*")
-    slots = (a, a.adjoint(), b, b.adjoint())
     for n in range(2, max_order + 1):
         for pattern in _unmirrored_patterns(4, n):
             if {i >> 1 for i in pattern} != {0, 1}:
                 continue
-            value = table.kappa([slots[i] for i in pattern])
+            value = table.kappa(pattern)
             if not value.is_zero():
                 return False, FreenessWitness(n, tuple(labels[i] for i in pattern), value)
     return True, None
@@ -503,8 +499,8 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
     if max_order % 2:
         raise DomainError("max_order must be even")
     self_adjoint = a.is_self_adjoint()
-    table = _ChainProducts()
-    trivial = {n: table.kappa([a] * n) for n in range(1, max_order + 1)}
+    table = _ChainProducts((a, a.adjoint()))
+    trivial = {n: table.kappa((0,) * n) for n in range(1, max_order + 1)}
     semicircular = (
         self_adjoint
         and not trivial[2].is_zero()
@@ -513,10 +509,9 @@ def classify(a: RandomVariable, max_order: int = 6) -> ClassifyReport:
     even = self_adjoint and all(
         trivial[n].is_zero() for n in range(1, max_order + 1, 2)
     )
-    slots = (a, a.adjoint())
     # The even strictly alternating patterns are the ones allowed to be nonzero.
     r_diagonal = all(
-        table.kappa([slots[i] for i in pattern]).is_zero()
+        table.kappa(pattern).is_zero()
         for n in range(1, max_order + 1)
         for pattern in _unmirrored_patterns(2, n)
         if n % 2 or any(x == y for x, y in zip(pattern, pattern[1:]))

@@ -109,6 +109,11 @@ def test_vertex_projection_matrix_is_diagonal(h):
     assert sum(1 for col, row in p.image.items() if col == row) == 6
 
 
+def test_a_letter_over_another_graph_is_refused(h, fork):
+    with pytest.raises(DomainError, match="letter and basis use different graphs"):
+        represent(creation(path_word(fork, ["p"])), truncated_basis(h, 2))
+
+
 def test_reduction_matches_the_matrix_model_exhaustively(h, h_letters):
     basis = truncated_basis(h, 5)
     names = list(h_letters)

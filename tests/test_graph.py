@@ -16,6 +16,7 @@ from graphfp import (
     vertex_word,
     word_tokens,
 )
+from graphfp.graph import PathWord
 
 from util import loop_power
 
@@ -94,6 +95,15 @@ def test_concat_is_partial(h):
     assert concat(vertex_word(h, "v1"), e1) == e1
     assert concat(e1, vertex_word(h, "v2")) == e1
     assert concat(e1, vertex_word(h, "v1")) is None
+
+
+def test_malformed_words_are_refused(h, fork):
+    with pytest.raises(DomainError, match="a word is a vertex or an edge sequence, not both"):
+        PathWord(h, "v1", ("e1",))
+    with pytest.raises(DomainError, match="empty edge sequence"):
+        path_word(h, [])
+    with pytest.raises(DomainError, match="words come from different graphs"):
+        concat(path_word(h, ["e1"]), path_word(fork, ["p"]))
 
 
 def test_concat_associativity_where_defined(h, tri):

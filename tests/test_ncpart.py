@@ -60,6 +60,8 @@ def test_constructor_rejects_bad_partitions():
         NoncrossingPartition(3, ((1, 2),))  # 3 missing
     with pytest.raises(DomainError):
         NoncrossingPartition(2, ((1, 2), (2,)))  # duplicate element
+    with pytest.raises(DomainError, match="empty block"):
+        NoncrossingPartition(2, ((1, 2), ()))
     with pytest.raises(DomainError):
         NoncrossingPartition(0, ())
 

@@ -488,6 +488,28 @@ def test_expectation_fixes_diagonals(h):
 def test_to_general_unit_monomial_rejected():
     with pytest.raises(DomainError):
         to_general(Monomial(()))
+    with pytest.raises(TypeError):
+        to_general(3)
+
+
+def test_malformed_forms_and_terms_are_refused(h, fork):
+    with pytest.raises(DomainError, match="normal form needs matching targets"):
+        Pair(path_word(h, ["e1"]), vertex_word(h, "v1"))
+    with pytest.raises(DomainError, match="term word belongs to a different graph"):
+        RandomVariable(h, [((path_word(fork, ["p"]), False), ONE)])
+
+
+def test_element_reprs_and_truth(h):
+    x = RandomVariable(h, [
+        ((path_word(h, ["e1"]), False), ONE),
+        ((path_word(h, ["e1", "e2"]), True), ExactComplex.of(2)),
+    ])
+    assert repr(x) == "(1)·L[e1] + (2)·L*[e1 e2]"
+    assert repr(to_general(x)) == "(1)·L[e1] L*[v2] + (2)·L[v1] L*[e1 e2]"
+    assert repr(RandomVariable.zero(h)) == "0"
+    assert repr(GeneralElement.zero(h)) == "0"
+    assert not DiagonalElement.zero(h)
+    assert DiagonalElement(h, {"v1": ONE})
 
 
 def test_general_element_merges_and_drops_zeros(h):

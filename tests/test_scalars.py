@@ -70,6 +70,8 @@ def test_of_coercion():
     assert ExactComplex.of(Fraction(1, 4)).re == Fraction(1, 4)
     x = ExactComplex(Fraction(1), Fraction(2))
     assert ExactComplex.of(x) is x
+    with pytest.raises(TypeError):
+        ExactComplex(1.5, 0)
 
 
 def test_json_round_trip():
