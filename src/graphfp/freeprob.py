@@ -177,10 +177,11 @@ class _ChainProducts:
 
     A position is one slot of the call: a variable and the diagonal in
     front of it.  The table is built over the call's positions once: it
-    factors each distinct variable, found by identity, and gives it one rows
-    dict; it factors each given diagonal; and it stores each position's key
-    item and its corners, cut to the support of its diagonal.  ``kappa`` and
-    ``partition_moment`` then take positions and resolve no variable.
+    factors each distinct variable, found by identity, with one rows dict and
+    its corners; it checks each given diagonal's graph; and it stores each
+    position's key item and its corners, cut to the support of its diagonal.
+    ``kappa`` and ``partition_moment`` then take positions and resolve no
+    variable.
 
     A key is a tuple of key items (slot, pending diagonal), one per block
     position.  The slot numbers the distinct variable.  The pending diagonal
@@ -197,8 +198,9 @@ class _ChainProducts:
     ) -> None:
         ds = _check_slots(variables, diagonals)
         self._forms = forms = _FormIds()
-        # slot -> the distinct variable's form-id value and rows
-        self._variables: list[tuple[tuple, dict]] = []
+        # slot -> the distinct variable, its form-id value, its rows, and its
+        # corners: left vertex of a term -> the right vertices it reaches
+        self._variables: list[tuple[Element, tuple, dict, dict[str, set[str]]]] = []
         # pending diagonal -> its form-id value and rows
         self._diagonals: dict[frozenset, tuple[tuple, dict]] = {}
         # key -> [form-id value of the chain product, its expectation once a
@@ -208,26 +210,25 @@ class _ChainProducts:
         self._cumulants: dict[tuple, dict] = {}
         # position -> its key item
         self._items: list[tuple[int, frozenset | None]] = []
-        # position -> left vertex of a term -> the right vertices it reaches
+        # position -> its slot's corners, cut to the support of its diagonal
         self._corners: list[dict[str, set[str]]] = []
-        distinct: list[tuple[Element, dict[str, set[str]]]] = []
         for x, d in zip(variables, ds):
-            slot = next((i for i, (y, _c) in enumerate(distinct) if y is x), None)
+            slot = next((i for i, s in enumerate(self._variables) if s[0] is x), None)
             if slot is None:
-                slot = len(distinct)
+                slot = len(self._variables)
                 value = forms.factor(to_general(x))
                 corners: dict[str, set[str]] = {}
                 for k in value[0]:
                     form = forms.forms[k]
                     corners.setdefault(form.alpha.source, set()).add(form.beta.source)
-                self._variables.append((value, {}))
-                distinct.append((x, corners))
-            corners = distinct[slot][1]
+                self._variables.append((x, value, {}, corners))
+            corners = self._variables[slot][3]
             pending = None
             if d is not None:
+                # A pending diagonal is keyed by its entries, not its graph.
+                if d.graph != forms.graph:
+                    raise DomainError("cannot multiply elements over different graphs")
                 pending = frozenset(d.entries.items())
-                if pending not in self._diagonals:
-                    self._diagonals[pending] = (forms.factor(to_general(d)), {})
                 # A diagonal projects away the corners whose left vertex
                 # lies outside its support.
                 corners = {u: ws for u, ws in corners.items() if u in d.entries}
@@ -247,7 +248,7 @@ class _ChainProducts:
                 prefix_key += ((slot, pending),)
                 cached = self._products.get(prefix_key)
                 if cached is None:
-                    factors = [self._variables[slot]]
+                    factors = [self._variables[slot][1:3]]
                     if pending is not None:
                         diagonal = self._diagonals.get(pending)
                         if diagonal is None:

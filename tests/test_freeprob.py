@@ -649,12 +649,27 @@ def test_products_reject_a_diagonal_over_another_graph(h, loop_var):
         cumulant([loop_var, loop_var], [None, d])
     with pytest.raises(DomainError, match=message):
         partition_moments([loop_var, loop_var], [None, d])
+    # A diagonal over h with the same entries comes first: the foreign one
+    # must be refused although its entries were met before.
+    d_h = _diag(h, {"v1": 1})
+    for f in (moment, cumulant, partition_moments):
+        with pytest.raises(DomainError, match=message):
+            f([loop_var, loop_var], [d_h, d])
     # L[e1] L[e1] chains into no closed walk, so the cumulant is zero before
     # any product, but the foreign diagonal is refused first.
     e1 = _var(_c(h, "e1"))
     assert cumulant([e1, e1]).is_zero()
     with pytest.raises(DomainError, match=message):
         cumulant([e1, e1], [None, d])
+
+
+def test_products_refuse_the_unit_monomial(h):
+    # It has no graph, with or without diagonals: to_general refuses it.
+    message = "the unit monomial has no graph; expand it explicitly"
+    for f in (moment, cumulant, partition_moments):
+        for diagonals in (None, [_diag(h, {"v1": 1})]):
+            with pytest.raises(DomainError, match=message):
+                f([Monomial(())], diagonals)
 
 
 @settings(max_examples=60, deadline=None)
